@@ -5,9 +5,12 @@
 // for the three storage configurations of Figure 4 and statistics variants
 // for the parameter sweeps.
 
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -39,6 +42,160 @@ T Unwrap(StatusOr<T> v, const char* what) {
   }
   return std::move(v).value();
 }
+
+// Strict command-line parsing shared by the harnesses that take flags.
+// Each harness registers its `--name=VALUE` flags and `--name` switches,
+// plus at most one positional argument (the JSON output path). Parse()
+// rejects anything else — an unknown flag (including `--help`), a flag
+// missing its value, a malformed or out-of-range number, a second
+// positional argument — by printing the problem and the usage line to
+// stderr and exiting 2, before the harness has written anything.
+class Flags {
+ public:
+  explicit Flags(std::string program) : program_(std::move(program)) {}
+
+  Flags& Int(const char* name, int* out) {
+    return Add(name, "N", [out](const char* v) {
+      long long x = 0;
+      if (!ParseInt(v, &x) || x < INT32_MIN || x > INT32_MAX) return false;
+      *out = static_cast<int>(x);
+      return true;
+    });
+  }
+  Flags& Size(const char* name, size_t* out) {
+    return Add(name, "N", [out](const char* v) {
+      long long x = 0;
+      if (!ParseInt(v, &x) || x < 0) return false;
+      *out = static_cast<size_t>(x);
+      return true;
+    });
+  }
+  // Comma-separated integers, e.g. --threads=1,4,8.
+  Flags& IntList(const char* name, std::vector<int>* out) {
+    return Add(name, "N,N,...", [out](const char* v) {
+      std::vector<int> list;
+      std::string text = v;
+      size_t start = 0;
+      while (true) {
+        size_t comma = text.find(',', start);
+        long long x = 0;
+        if (!ParseInt(text.substr(start, comma - start).c_str(), &x) ||
+            x < INT32_MIN || x > INT32_MAX) {
+          return false;
+        }
+        list.push_back(static_cast<int>(x));
+        if (comma == std::string::npos) break;
+        start = comma + 1;
+      }
+      *out = std::move(list);
+      return true;
+    });
+  }
+  // One of `choices`, e.g. --backend=mem|disk.
+  Flags& Choice(const char* name, std::vector<std::string> choices,
+                std::string* out) {
+    std::string metavar;
+    for (const std::string& c : choices) {
+      metavar += (metavar.empty() ? "" : "|") + c;
+    }
+    return Add(name, metavar, [choices, out](const char* v) {
+      for (const std::string& c : choices) {
+        if (c == v) {
+          *out = c;
+          return true;
+        }
+      }
+      return false;
+    });
+  }
+  Flags& Switch(const char* name, bool* out) {
+    flags_.push_back({name, "", [out](const char*) {
+                        *out = true;
+                        return true;
+                      }});
+    return *this;
+  }
+  Flags& Positional(const char* metavar, std::string* out) {
+    positional_metavar_ = metavar;
+    positional_ = out;
+    return *this;
+  }
+
+  void Parse(int argc, char** argv) const {
+    bool have_positional = false;
+    for (int i = 1; i < argc; ++i) {
+      std::string arg = argv[i];
+      if (arg.rfind("-", 0) != 0) {
+        if (positional_ == nullptr || have_positional) {
+          Fail("unexpected argument '" + arg + "'");
+        }
+        *positional_ = arg;
+        have_positional = true;
+        continue;
+      }
+      size_t eq = arg.find('=');
+      std::string name = arg.substr(0, eq);
+      const Flag* flag = nullptr;
+      for (const Flag& f : flags_) {
+        if (name == f.name) flag = &f;
+      }
+      if (flag == nullptr) Fail("unknown flag '" + name + "'");
+      bool is_switch = flag->metavar.empty();
+      if (is_switch != (eq == std::string::npos)) {
+        Fail(is_switch ? "flag '" + name + "' takes no value"
+                       : "flag '" + name + "' needs a value (" + name + "=" +
+                             flag->metavar + ")");
+      }
+      const char* value = is_switch ? "" : argv[i] + eq + 1;
+      if (!flag->set(value)) {
+        Fail("bad value for " + name + ": '" + value + "' (expected " +
+             flag->metavar + ")");
+      }
+    }
+  }
+
+ private:
+  // Prints `problem` and the usage line, then exits 2.
+  [[noreturn]] void Fail(const std::string& problem) const {
+    std::string usage = "usage: " + program_;
+    for (const Flag& f : flags_) {
+      usage += " [" + f.name + (f.metavar.empty() ? "" : "=" + f.metavar) +
+               "]";
+    }
+    if (positional_ != nullptr) usage += " [" + positional_metavar_ + "]";
+    std::fprintf(stderr, "%s: %s\n%s\n", program_.c_str(), problem.c_str(),
+                 usage.c_str());
+    std::exit(2);
+  }
+
+  struct Flag {
+    std::string name;
+    std::string metavar;  // empty for switches
+    std::function<bool(const char*)> set;
+  };
+
+  Flags& Add(const char* name, std::string metavar,
+             std::function<bool(const char*)> set) {
+    flags_.push_back({name, std::move(metavar), std::move(set)});
+    return *this;
+  }
+
+  // Whole-string base-10 integer; rejects empty, trailing junk, overflow.
+  static bool ParseInt(const char* text, long long* out) {
+    if (*text == '\0') return false;
+    errno = 0;
+    char* end = nullptr;
+    long long x = std::strtoll(text, &end, 10);
+    if (errno != 0 || *end != '\0') return false;
+    *out = x;
+    return true;
+  }
+
+  std::string program_;
+  std::vector<Flag> flags_;
+  std::string positional_metavar_;
+  std::string* positional_ = nullptr;
+};
 
 // Best-effort git revision of the working tree ("describe --always
 // --dirty"), or "unknown" outside a checkout / without git. Shelling out is

@@ -251,30 +251,22 @@ int main(int argc, char** argv) {
   size_t batch_size = 1024;
   int scale = 1;
   int reps = 20;
-  bool disk = false;
+  std::string backend = "mem";
   bool require_io = false;
   size_t pool_pages = 16;
   size_t page_size = 4096;
   std::string json_out;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--batch-size=", 13) == 0) {
-      batch_size = static_cast<size_t>(std::atol(argv[i] + 13));
-    } else if (std::strncmp(argv[i], "--scale=", 8) == 0) {
-      scale = std::atoi(argv[i] + 8);
-    } else if (std::strncmp(argv[i], "--reps=", 7) == 0) {
-      reps = std::atoi(argv[i] + 7);
-    } else if (std::strncmp(argv[i], "--backend=", 10) == 0) {
-      disk = std::strcmp(argv[i] + 10, "disk") == 0;
-    } else if (std::strncmp(argv[i], "--pool-pages=", 13) == 0) {
-      pool_pages = static_cast<size_t>(std::atol(argv[i] + 13));
-    } else if (std::strncmp(argv[i], "--page-size=", 12) == 0) {
-      page_size = static_cast<size_t>(std::atol(argv[i] + 12));
-    } else if (std::strcmp(argv[i], "--require-io") == 0) {
-      require_io = true;
-    } else {
-      json_out = argv[i];
-    }
-  }
+  bench::Flags("calibration")
+      .Size("--batch-size", &batch_size)
+      .Int("--scale", &scale)
+      .Int("--reps", &reps)
+      .Choice("--backend", {"mem", "disk"}, &backend)
+      .Size("--pool-pages", &pool_pages)
+      .Size("--page-size", &page_size)
+      .Switch("--require-io", &require_io)
+      .Positional("OUT.json", &json_out)
+      .Parse(argc, argv);
+  const bool disk = backend == "disk";
   if (batch_size == 0) batch_size = 1;
   if (scale < 1) scale = 1;
   if (reps < 1) reps = 1;

@@ -11,7 +11,6 @@
 // there as JSON, e.g. `fig10_greedy BENCH_fig10_greedy.json`; `--threads=N`
 // sets the candidate-evaluation worker count (0 = hardware concurrency).
 #include <cstdio>
-#include <cstring>
 
 #include "bench/bench_util.h"
 #include "common/table_printer.h"
@@ -23,13 +22,10 @@ int main(int argc, char** argv) {
   bench::ObsSession obs_session("fig10_greedy");
   int threads = 0;  // 0 = hardware concurrency
   std::string json_out;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = std::atoi(argv[i] + 10);
-    } else {
-      json_out = argv[i];
-    }
-  }
+  bench::Flags("fig10_greedy")
+      .Int("--threads", &threads)
+      .Positional("OUT.json", &json_out)
+      .Parse(argc, argv);
   std::printf(
       "Figure 10: cost at each greedy iteration (normalized by the final\n"
       "cost of greedy-so on that workload), for lookup and publish "

@@ -22,6 +22,10 @@ using namespace legodb;
 
 int main(int argc, char** argv) {
   bench::ObsSession obs_session("micro_search_parallel");
+  std::string json_out;
+  bench::Flags("micro_search_parallel")
+      .Positional("OUT.json", &json_out)
+      .Parse(argc, argv);
   std::printf(
       "Greedy-so search on the IMDB lookup workload: wall time vs worker\n"
       "threads (hardware concurrency: %d). Identical results at every\n"
@@ -66,6 +70,6 @@ int main(int argc, char** argv) {
     obs::Observe("bench.search_wall_ms", wall_ms);
   }
   table.Print();
-  if (argc > 1) obs_session.WriteJson(argv[1]);
+  if (!json_out.empty()) obs_session.WriteJson(json_out);
   return 0;
 }

@@ -28,7 +28,6 @@
 //           [--max-inflight=N] [BENCH_out.json]
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -135,30 +134,16 @@ int main(int argc, char** argv) {
   size_t cache_capacity = 64;
   size_t max_inflight = 0;  // 0 = unbounded (no Unavailable, no retries)
   std::string json_out;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      thread_counts.clear();
-      for (const char* p = argv[i] + 10; *p != '\0';) {
-        thread_counts.push_back(std::atoi(p));
-        while (*p != '\0' && *p != ',') ++p;
-        if (*p == ',') ++p;
-      }
-    } else if (std::strncmp(argv[i], "--requests=", 11) == 0) {
-      requests = std::atoi(argv[i] + 11);
-    } else if (std::strncmp(argv[i], "--scale=", 8) == 0) {
-      scale = std::atoi(argv[i] + 8);
-    } else if (std::strncmp(argv[i], "--batch-size=", 13) == 0) {
-      batch_size = static_cast<size_t>(std::atol(argv[i] + 13));
-    } else if (std::strncmp(argv[i], "--cache-shards=", 15) == 0) {
-      cache_shards = static_cast<size_t>(std::atol(argv[i] + 15));
-    } else if (std::strncmp(argv[i], "--cache-capacity=", 17) == 0) {
-      cache_capacity = static_cast<size_t>(std::atol(argv[i] + 17));
-    } else if (std::strncmp(argv[i], "--max-inflight=", 15) == 0) {
-      max_inflight = static_cast<size_t>(std::atol(argv[i] + 15));
-    } else {
-      json_out = argv[i];
-    }
-  }
+  bench::Flags("serving")
+      .IntList("--threads", &thread_counts)
+      .Int("--requests", &requests)
+      .Int("--scale", &scale)
+      .Size("--batch-size", &batch_size)
+      .Size("--cache-shards", &cache_shards)
+      .Size("--cache-capacity", &cache_capacity)
+      .Size("--max-inflight", &max_inflight)
+      .Positional("OUT.json", &json_out)
+      .Parse(argc, argv);
   if (requests < 1) requests = 1;
   if (scale < 1) scale = 1;
   if (batch_size == 0) batch_size = 1;

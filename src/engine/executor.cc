@@ -1059,8 +1059,8 @@ class BlockExecutor {
 
     // Resolve projection targets once: a missing column projects NULL (the
     // outer-union publishing encoding relies on heterogeneous outputs).
-    // Values materialize from the column shadows, which both backends
-    // provide (paged tables have no rows() to address into).
+    // Values materialize from the column vectors, which both backends
+    // provide.
     struct Output {
       int rel = -1;
       int col = -1;

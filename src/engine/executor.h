@@ -117,7 +117,7 @@ struct ExecProfile {
 // row-index column per base relation, no per-tuple allocation), filters and
 // residual join predicates run as compiled bytecode over the storage
 // layer's column vectors (see engine/expr_vm.h), only hash-join build sides
-// materialize, and all column shadows and constants are resolved once per
+// materialize, and all column vectors and constants are resolved once per
 // operator open (never per row). Rows materialize only at the final
 // projection boundary, so results stay bit-identical to ReferenceExecutor.
 //

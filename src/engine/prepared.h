@@ -4,7 +4,7 @@
 // Prepared execution state for a cached physical plan.
 //
 // The executor normally compiles filter/residual bytecode and resolves
-// column shadows and hash indexes inside every operator Open(). For a plan
+// column vectors and hash indexes inside every operator Open(). For a plan
 // that will be executed many times (the serving layer's plan cache),
 // PreparedPrograms front-loads all of that once per plan: every scan/join
 // node gets a compiled *template* program (symbolic constants left as named
@@ -45,7 +45,7 @@ class PreparedPrograms {
 
   // Compiles templates for every operator of every block plan. Resolving
   // columns and indexes here doubles as a prewarm: the first concurrent
-  // executions never race to lazily build shadows for these plans.
+  // executions never race to lazily build them for these plans.
   static StatusOr<PreparedPrograms> Compile(
       store::Database* db, const opt::RelQuery& query,
       const std::vector<opt::PhysicalPlanPtr>& block_plans);

@@ -8,6 +8,7 @@
 
 namespace legodb::engine {
 
+using store::HashIndex;
 using store::Row;
 using store::StoredTable;
 
@@ -31,15 +32,17 @@ class ReferenceBlockExecutor {
     for (const auto& rel : block_.rels) {
       StoredTable* table = e_->db_->FindTable(rel.table);
       if (!table) return Status::NotFound("table '" + rel.table + "'");
-      if (table->paged()) {
-        // The reference executor is deliberately row-at-a-time over heap
-        // rows; disk equivalence tests compare the paged engine against a
-        // memory database loaded from the same document instead.
-        return Status::Unsupported(
-            "reference executor requires the memory backend (table '" +
-            rel.table + "' is paged)");
-      }
       tables_.push_back(table);
+      // The reference executor is deliberately row-at-a-time: it snapshots
+      // every bound table as Rows (through ReadRow, so on either backend)
+      // and binds pointers into the snapshot.
+      std::vector<Row> rows;
+      rows.reserve(table->row_count());
+      for (size_t i = 0; i < table->row_count(); ++i) {
+        LEGODB_ASSIGN_OR_RETURN(Row row, table->ReadRow(i));
+        rows.push_back(std::move(row));
+      }
+      snapshots_.push_back(std::move(rows));
     }
     LEGODB_ASSIGN_OR_RETURN(std::vector<Binding> bindings, Exec(plan->child));
     xq::ResultSet result;
@@ -147,7 +150,7 @@ class ReferenceBlockExecutor {
         e_->stats_.bytes_read +=
             static_cast<double>(t.row_count()) * RowWidth(p->rel);
         std::vector<Binding> out;
-        for (const Row& row : t.rows()) {
+        for (const Row& row : snapshots_[p->rel]) {
           LEGODB_ASSIGN_OR_RETURN(bool pass,
                                   PassFilters(p->rel, row, p->filters));
           if (pass) out.push_back(NewBinding(p->rel, &row));
@@ -169,17 +172,17 @@ class ReferenceBlockExecutor {
           return Status::Internal("index lookup without driving filter");
         }
         LEGODB_ASSIGN_OR_RETURN(Value key, ResolveConstant(driver->value));
-        t.EnsureIndex(p->index_column);
-        const std::vector<size_t>* hits = t.Probe(p->index_column, key);
+        LEGODB_ASSIGN_OR_RETURN(const HashIndex* index,
+                                t.GetOrBuildIndex(p->index_column));
+        const std::vector<size_t>& hits = index->Find(key);
         e_->stats_.seeks += 1;
         std::vector<Binding> out;
-        if (!hits) return out;
-        e_->stats_.seeks += static_cast<double>(hits->size());
-        e_->stats_.tuples_processed += static_cast<double>(hits->size());
+        e_->stats_.seeks += static_cast<double>(hits.size());
+        e_->stats_.tuples_processed += static_cast<double>(hits.size());
         e_->stats_.bytes_read +=
-            static_cast<double>(hits->size()) * RowWidth(p->rel);
-        for (size_t idx : *hits) {
-          const Row& row = t.rows()[idx];
+            static_cast<double>(hits.size()) * RowWidth(p->rel);
+        for (size_t idx : hits) {
+          const Row& row = snapshots_[p->rel][idx];
           LEGODB_ASSIGN_OR_RETURN(bool pass,
                                   PassFilters(p->rel, row, p->filters));
           if (pass) out.push_back(NewBinding(p->rel, &row));
@@ -235,8 +238,9 @@ class ReferenceBlockExecutor {
       }
       case opt::PhysicalPlan::Kind::kIndexNLJoin: {
         LEGODB_ASSIGN_OR_RETURN(std::vector<Binding> outer, Exec(p->left));
-        StoredTable& inner = *tables_[p->rel];
-        inner.EnsureIndex(p->index_column);
+        LEGODB_ASSIGN_OR_RETURN(
+            const HashIndex* index,
+            tables_[p->rel]->GetOrBuildIndex(p->index_column));
         int outer_rel = p->left_join_rel;
         int outer_col =
             tables_[outer_rel]->meta().ColumnIndex(p->left_join_column);
@@ -249,26 +253,22 @@ class ReferenceBlockExecutor {
           bool matched = false;
           e_->stats_.seeks += 1;
           if (row && !(*row)[outer_col].is_null()) {
-            const std::vector<size_t>* hits =
-                inner.Probe(p->index_column, (*row)[outer_col]);
-            if (hits) {
-              e_->stats_.seeks += static_cast<double>(hits->size());
-              e_->stats_.tuples_processed +=
-                  static_cast<double>(hits->size());
-              e_->stats_.bytes_read +=
-                  static_cast<double>(hits->size()) * RowWidth(p->rel);
-              for (size_t idx : *hits) {
-                const Row& irow = inner.rows()[idx];
-                LEGODB_ASSIGN_OR_RETURN(
-                    bool pass, PassFilters(p->rel, irow, p->filters));
-                if (!pass) continue;
-                Binding merged = l;
-                merged[p->rel] = &irow;
-                LEGODB_ASSIGN_OR_RETURN(bool rpass, ResidualsPass(*p, merged));
-                if (!rpass) continue;
-                out.push_back(std::move(merged));
-                matched = true;
-              }
+            const std::vector<size_t>& hits = index->Find((*row)[outer_col]);
+            e_->stats_.seeks += static_cast<double>(hits.size());
+            e_->stats_.tuples_processed += static_cast<double>(hits.size());
+            e_->stats_.bytes_read +=
+                static_cast<double>(hits.size()) * RowWidth(p->rel);
+            for (size_t idx : hits) {
+              const Row& irow = snapshots_[p->rel][idx];
+              LEGODB_ASSIGN_OR_RETURN(bool pass,
+                                      PassFilters(p->rel, irow, p->filters));
+              if (!pass) continue;
+              Binding merged = l;
+              merged[p->rel] = &irow;
+              LEGODB_ASSIGN_OR_RETURN(bool rpass, ResidualsPass(*p, merged));
+              if (!rpass) continue;
+              out.push_back(std::move(merged));
+              matched = true;
             }
           }
           if (!matched && p->left_outer) out.push_back(l);
@@ -284,6 +284,7 @@ class ReferenceBlockExecutor {
   ReferenceExecutor* e_;
   const opt::QueryBlock& block_;
   std::vector<StoredTable*> tables_;
+  std::vector<std::vector<Row>> snapshots_;  // per rel: its table's rows
 };
 
 StatusOr<xq::ResultSet> ReferenceExecutor::ExecuteBlock(

@@ -112,7 +112,7 @@ StatusOr<MigrationReport> Migrator::RunPhases(
         "shadow shred produced no rows for a non-empty source");
   }
 
-  // Phase 2: prewarm every index and column shadow, so post-swap requests
+  // Phase 2: prewarm every index and column vector, so post-swap requests
   // never pay (or contend on) a first-use build.
   if (options.prewarm) {
     obs::Span prewarm_span("migrate.prewarm");

@@ -12,7 +12,7 @@
 //                 (map::MapSchema) and shred the source document into a
 //                 fresh shadow store::Database on the caller's thread,
 //                 touching nothing the serving path reads;
-//   2. prewarm  — build every index and column shadow of the shadow
+//   2. prewarm  — build every index and column vector of the shadow
 //                 database, so the first post-swap requests pay no lazy
 //                 builds;
 //   3. verify   — execute every workload query against the old (pinned)
@@ -78,7 +78,7 @@ struct MigrationOptions {
   // migration still succeeds on timeout (the version drains whenever its
   // last request finishes), drain_ms just reports the cap.
   double drain_timeout_ms = 5000;
-  // Build all indexes/column shadows of the shadow database before the
+  // Build all indexes/column vectors of the shadow database before the
   // swap (step 2). Disable only in tests that measure lazy builds.
   bool prewarm = true;
 };

@@ -143,14 +143,6 @@ Status SlotExtent(const char* page, size_t page_size, uint16_t slot,
 
 const std::vector<size_t> HashIndex::kEmpty;
 
-HashIndex::HashIndex(const std::vector<Row>& rows, int column_index) {
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Value& v = rows[i][static_cast<size_t>(column_index)];
-    if (v.is_null()) continue;
-    map_[v].push_back(i);
-  }
-}
-
 HashIndex::HashIndex(const ColumnVector& column) {
   for (size_t i = 0; i < column.size(); ++i) {
     if (column.is_null(i)) continue;
@@ -158,59 +150,60 @@ HashIndex::HashIndex(const ColumnVector& column) {
   }
 }
 
-ColumnVector::ColumnVector(const std::vector<Row>& rows, int column_index) {
-  size_t col = static_cast<size_t>(column_index);
-  nulls_.resize(rows.size());
-  ints_.resize(rows.size());
-  vals_.resize(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Value& v = rows[i][col];
-    vals_[i] = &v;
-    if (v.is_null()) {
-      nulls_[i] = 1;
-    } else if (v.is_int()) {
-      ints_[i] = v.as_int();
-    } else {
-      typed_int_ = false;
+ColumnVector::ColumnVector(std::vector<Value> values)
+    : values_(std::move(values)) {
+  nulls_.reserve(values_.size());
+  ints_.reserve(values_.size());
+  for (const Value& v : values_) AppendViews(v);
+}
+
+void ColumnVector::Append(Value v) {
+  values_.push_back(std::move(v));
+  AppendViews(values_.back());
+}
+
+void ColumnVector::AppendViews(const Value& v) {
+  nulls_.push_back(v.is_null() ? 1 : 0);
+  if (!v.is_null() && !v.is_int()) {
+    if (non_ints_++ == 0) {
+      ints_.clear();
+      ints_.shrink_to_fit();
     }
-  }
-  if (!typed_int_) {
-    ints_.clear();
-    ints_.shrink_to_fit();
+  } else if (typed_int()) {
+    ints_.push_back(v.is_int() ? v.as_int() : 0);
   }
 }
 
-ColumnVector::ColumnVector(std::vector<Value> owned)
-    : owned_(std::move(owned)) {
-  Build();
+void ColumnVector::Truncate(size_t n) {
+  for (size_t i = n; i < values_.size(); ++i) {
+    if (!values_[i].is_null() && !values_[i].is_int()) --non_ints_;
+  }
+  values_.resize(n);
+  nulls_.resize(n);
+  if (!typed_int()) return;
+  if (ints_.size() >= n) {
+    ints_.resize(n);
+    return;
+  }
+  // The removed rows held the column's last non-integers: the survivors
+  // regain the int64 view a fresh build of them would have.
+  ints_.clear();
+  for (const Value& v : values_) ints_.push_back(v.is_int() ? v.as_int() : 0);
 }
 
-void ColumnVector::Build() {
-  nulls_.resize(owned_.size());
-  ints_.resize(owned_.size());
-  vals_.resize(owned_.size());
-  for (size_t i = 0; i < owned_.size(); ++i) {
-    const Value& v = owned_[i];
-    vals_[i] = &v;
-    if (v.is_null()) {
-      nulls_[i] = 1;
-    } else if (v.is_int()) {
-      ints_[i] = v.as_int();
-    } else {
-      typed_int_ = false;
-    }
-  }
-  if (!typed_int_) {
-    ints_.clear();
-    ints_.shrink_to_fit();
-  }
+StoredTable::StoredTable(rel::Table meta, BufferPool* pool)
+    : meta_(std::move(meta)), pool_(pool), columns_(meta_.columns.size()) {
+  if (paged()) return;
+  for (auto& column : columns_) column = std::make_unique<ColumnVector>();
 }
 
-const std::vector<Row>& StoredTable::rows() const {
-  LEGODB_CHECK(!paged(),
-               "StoredTable::rows(): direct row access on a paged table "
-               "(use ReadRow / column shadows)");
-  return rows_;
+void StoredTable::Invalidate() {
+  mutations_.fetch_add(1, std::memory_order_acq_rel);
+  std::lock_guard<std::mutex> lock(index_mu_);
+  indexes_.clear();  // rebuilt on first use after loading
+  if (paged()) {
+    for (auto& column : columns_) column.reset();
+  }
 }
 
 Status StoredTable::Insert(Row row) {
@@ -219,12 +212,12 @@ Status StoredTable::Insert(Row row) {
   if (paged()) {
     LEGODB_RETURN_IF_ERROR(InsertPaged(row));
   } else {
-    rows_.push_back(std::move(row));
+    for (size_t c = 0; c < row.size(); ++c) {
+      columns_[c]->Append(std::move(row[c]));
+    }
   }
-  mutations_.fetch_add(1, std::memory_order_acq_rel);
-  std::lock_guard<std::mutex> lock(index_mu_);
-  indexes_.clear();  // indexes/columns are rebuilt on first use after loading
-  columns_.clear();
+  ++row_count_;
+  Invalidate();
   return Status::OK();
 }
 
@@ -282,57 +275,58 @@ Status StoredTable::InsertPaged(const Row& row) {
 }
 
 Status StoredTable::RemoveLastRows(size_t n) {
+  LEGODB_CHECK(n <= row_count_,
+               "StoredTable::RemoveLastRows: more rows than stored");
+  Status st = Status::OK();
   if (paged()) {
-    LEGODB_CHECK(n <= locators_.size(),
-                 "StoredTable::RemoveLastRows: more rows than stored");
-    BufferPool* bp = pool();
-    for (size_t k = 0; k < n; ++k) {
-      RowLocator loc = locators_.back();
-      LEGODB_ASSIGN_OR_RETURN(BufferPool::PageGuard guard, bp->Pin(loc.page));
-      char* page = guard.data();
-      uint16_t nslots = LoadU16(page);
-      LEGODB_CHECK(nslots == loc.slot + 1,
-                   "StoredTable::RemoveLastRows: non-LIFO slot state");
-      const char* entry =
-          page + pager()->page_size() - kSlotBytes * (loc.slot + 1);
-      uint16_t off = LoadU16(entry);
-      StoreU16(page, static_cast<uint16_t>(nslots - 1));
-      StoreU16(page + 2, off);  // reclaim the payload space
-      guard.MarkDirty();
-      locators_.pop_back();
-      if (nslots - 1 == 0 && !pages_.empty() && pages_.back() == loc.page) {
-        guard.Release();
-        bp->Discard(loc.page);
-        pager()->Free(loc.page);
-        pages_.pop_back();
-      }
-    }
+    st = RemoveLastRowsPaged(n);
   } else {
-    LEGODB_CHECK(n <= rows_.size(),
-                 "StoredTable::RemoveLastRows: more rows than stored");
-    rows_.resize(rows_.size() - n);
+    for (auto& column : columns_) column->Truncate(row_count_ - n);
+    row_count_ -= n;
   }
-  mutations_.fetch_add(1, std::memory_order_acq_rel);
-  std::lock_guard<std::mutex> lock(index_mu_);
-  indexes_.clear();
-  columns_.clear();
+  Invalidate();  // also after a partial paged removal
+  return st;
+}
+
+Status StoredTable::RemoveLastRowsPaged(size_t n) {
+  BufferPool* bp = pool();
+  for (size_t k = 0; k < n; ++k) {
+    RowLocator loc = locators_.back();
+    LEGODB_ASSIGN_OR_RETURN(BufferPool::PageGuard guard, bp->Pin(loc.page));
+    char* page = guard.data();
+    uint16_t nslots = LoadU16(page);
+    LEGODB_CHECK(nslots == loc.slot + 1,
+                 "StoredTable::RemoveLastRows: non-LIFO slot state");
+    const char* entry =
+        page + pager()->page_size() - kSlotBytes * (loc.slot + 1);
+    uint16_t off = LoadU16(entry);
+    StoreU16(page, static_cast<uint16_t>(nslots - 1));
+    StoreU16(page + 2, off);  // reclaim the payload space
+    guard.MarkDirty();
+    locators_.pop_back();
+    --row_count_;
+    if (nslots - 1 == 0 && !pages_.empty() && pages_.back() == loc.page) {
+      guard.Release();
+      bp->Discard(loc.page);
+      pager()->Free(loc.page);
+      pages_.pop_back();
+    }
+  }
   return Status::OK();
 }
 
 StatusOr<Row> StoredTable::ReadRow(size_t i) const {
-  if (!paged()) {
-    if (i >= rows_.size()) {
-      return Status::Internal("ReadRow: row index out of range");
-    }
-    return rows_[i];
+  if (i >= row_count_) {
+    return Status::Internal("ReadRow: row index out of range");
   }
-  return ReadRowPaged(i);
+  if (paged()) return ReadRowPaged(i);
+  Row row;
+  row.reserve(columns_.size());
+  for (const auto& column : columns_) row.push_back(column->value(i));
+  return row;
 }
 
 StatusOr<Row> StoredTable::ReadRowPaged(size_t i) const {
-  if (i >= locators_.size()) {
-    return Status::Internal("ReadRow: row index out of range");
-  }
   const RowLocator loc = locators_[i];
   LEGODB_ASSIGN_OR_RETURN(BufferPool::PageGuard guard, pool()->Pin(loc.page));
   uint16_t off = 0;
@@ -401,21 +395,9 @@ StatusOr<const HashIndex*> StoredTable::GetOrBuildIndex(
   std::lock_guard<std::mutex> lock(index_mu_);
   auto it = indexes_.find(column);
   if (it != indexes_.end()) return static_cast<const HashIndex*>(it->second.get());
-  int idx = meta_.ColumnIndex(column);
-  if (idx < 0) {
-    return Status::Internal("no column '" + column + "' in table '" +
-                            meta_.name + "' to index");
-  }
-  std::unique_ptr<HashIndex> built;
-  if (paged()) {
-    // Paged tables index via the columnar shadow (one sequential page scan,
-    // cached for every later reader).
-    LEGODB_ASSIGN_OR_RETURN(const ColumnVector* col,
-                            GetOrBuildColumnLocked(column));
-    built = std::make_unique<HashIndex>(*col);
-  } else {
-    built = std::make_unique<HashIndex>(rows_, idx);
-  }
+  LEGODB_ASSIGN_OR_RETURN(const ColumnVector* col,
+                          GetOrBuildColumnLocked(column, "index"));
+  auto built = std::make_unique<HashIndex>(*col);
   const HashIndex* result = built.get();
   indexes_.emplace(column, std::move(built));
   return result;
@@ -424,51 +406,35 @@ StatusOr<const HashIndex*> StoredTable::GetOrBuildIndex(
 StatusOr<const ColumnVector*> StoredTable::GetOrBuildColumn(
     const std::string& column) {
   std::lock_guard<std::mutex> lock(index_mu_);
-  return GetOrBuildColumnLocked(column);
+  return GetOrBuildColumnLocked(column, "vectorize");
 }
 
 StatusOr<const ColumnVector*> StoredTable::GetOrBuildColumnLocked(
-    const std::string& column) {
-  auto it = columns_.find(column);
-  if (it != columns_.end()) {
-    return static_cast<const ColumnVector*>(it->second.get());
-  }
+    const std::string& column, const char* what) {
   int idx = meta_.ColumnIndex(column);
   if (idx < 0) {
     return Status::Internal("no column '" + column + "' in table '" +
-                            meta_.name + "' to vectorize");
+                            meta_.name + "' to " + what);
   }
-  std::unique_ptr<ColumnVector> built;
-  if (paged()) {
-    // Sequential page scan: deserialize each row once, keep only the
-    // requested column. The shadow owns the values it exposes.
-    std::vector<Value> owned;
-    owned.reserve(locators_.size());
-    Row scratch;
-    for (size_t i = 0; i < locators_.size(); ++i) {
-      const RowLocator loc = locators_[i];
-      LEGODB_ASSIGN_OR_RETURN(BufferPool::PageGuard guard,
-                              pool()->Pin(loc.page));
-      uint16_t off = 0;
-      uint16_t len = 0;
-      LEGODB_RETURN_IF_ERROR(SlotExtent(guard.data(), pager()->page_size(),
-                                        loc.slot, &off, &len));
-      LEGODB_RETURN_IF_ERROR(DeserializeRow(guard.data() + off, len,
-                                            meta_.columns.size(), &scratch));
-      owned.push_back(std::move(scratch[static_cast<size_t>(idx)]));
-    }
-    built = std::make_unique<ColumnVector>(std::move(owned));
-  } else {
-    built = std::make_unique<ColumnVector>(rows_, idx);
+  std::unique_ptr<ColumnVector>& slot = columns_[static_cast<size_t>(idx)];
+  if (slot != nullptr) return static_cast<const ColumnVector*>(slot.get());
+  // Paged and not yet decoded: one sequential page scan, deserializing each
+  // row once and keeping only the requested column.
+  std::vector<Value> values;
+  values.reserve(locators_.size());
+  Row scratch;
+  for (const RowLocator& loc : locators_) {
+    LEGODB_ASSIGN_OR_RETURN(BufferPool::PageGuard guard, pool()->Pin(loc.page));
+    uint16_t off = 0;
+    uint16_t len = 0;
+    LEGODB_RETURN_IF_ERROR(
+        SlotExtent(guard.data(), pager()->page_size(), loc.slot, &off, &len));
+    LEGODB_RETURN_IF_ERROR(DeserializeRow(guard.data() + off, len,
+                                          meta_.columns.size(), &scratch));
+    values.push_back(std::move(scratch[static_cast<size_t>(idx)]));
   }
-  const ColumnVector* result = built.get();
-  columns_.emplace(column, std::move(built));
-  return result;
-}
-
-void StoredTable::EnsureIndex(const std::string& column) {
-  StatusOr<const HashIndex*> index = GetOrBuildIndex(column);
-  LEGODB_CHECK(index.ok(), "EnsureIndex: unknown column");
+  slot = std::make_unique<ColumnVector>(std::move(values));
+  return static_cast<const ColumnVector*>(slot.get());
 }
 
 bool StoredTable::HasIndex(const std::string& column) const {
@@ -476,26 +442,26 @@ bool StoredTable::HasIndex(const std::string& column) const {
   return indexes_.count(column) > 0;
 }
 
-const std::vector<size_t>* StoredTable::Probe(const std::string& column,
-                                              const Value& key) const {
-  const HashIndex* index = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(index_mu_);
-    auto it = indexes_.find(column);
-    if (it == indexes_.end()) return nullptr;
-    index = it->second.get();
-  }
-  return &index->Find(key);
-}
-
 Database::Database(const rel::Catalog& catalog, StorageOptions options)
     : options_(std::move(options)) {
-  StatusOr<std::unique_ptr<StorageBackend>> backend = OpenBackend(options_);
-  LEGODB_CHECK(backend.ok(), "Database: cannot open storage backend");
-  backend_ = std::move(*backend);
-  for (const auto& name : catalog.table_names()) {
-    tables_.emplace(name, StoredTable(catalog.GetTable(name), backend_.get()));
+  if (options_.backend == StorageOptions::Backend::kPaged) {
+    Pager::Options popts;
+    popts.path = options_.path;
+    popts.page_size = options_.page_size;
+    StatusOr<std::unique_ptr<Pager>> pager = Pager::Open(popts);
+    LEGODB_CHECK(pager.ok(), "Database: cannot open the paged backing file");
+    pager_ = std::move(*pager);
+    pool_ = std::make_unique<BufferPool>(pager_.get(), options_.pool_pages);
   }
+  for (const auto& name : catalog.table_names()) {
+    tables_.emplace(name, StoredTable(catalog.GetTable(name), pool_.get()));
+  }
+}
+
+Status Database::Flush() {
+  if (pool_ == nullptr) return Status::OK();
+  LEGODB_RETURN_IF_ERROR(pool_->FlushAll());
+  return pager_->Sync();
 }
 
 StoredTable* Database::FindTable(const std::string& name) {

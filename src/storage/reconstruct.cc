@@ -26,10 +26,15 @@ class Reconstructor {
                               type_name + "'");
     }
     StoredTable& table = db_->GetTable(tm->table);
-    // Materialize the row once per instance — on the paged backend this is
-    // the only way at it (rows live on slotted pages, not in a Row vector).
+    // Materialize the row once per instance: gathered from the columns in
+    // memory, decoded from its slotted page when paged.
     LEGODB_ASSIGN_OR_RETURN(Row row, table.ReadRow(row_idx));
     int key_idx = table.meta().ColumnIndex(table.meta().key_column);
+    if (key_idx < 0) {
+      return Status::Internal("table '" + table.meta().name +
+                              "' has no key column '" +
+                              table.meta().key_column + "'");
+    }
     Ctx ctx;
     ctx.tm = tm;
     ctx.table = &table;
@@ -46,13 +51,13 @@ class Reconstructor {
       return Status::InvalidArgument("not a concrete type: " + type_name);
     }
     StoredTable& table = db_->GetTable(tm->table);
-    table.EnsureIndex(table.meta().key_column);
-    const std::vector<size_t>* hits =
-        table.Probe(table.meta().key_column, Value::Int(id));
-    if (!hits || hits->empty()) {
+    LEGODB_ASSIGN_OR_RETURN(const HashIndex* index,
+                            table.GetOrBuildIndex(table.meta().key_column));
+    const std::vector<size_t>& hits = index->Find(Value::Int(id));
+    if (hits.empty()) {
       return Status::NotFound("no row with id " + std::to_string(id));
     }
-    return (*hits)[0];
+    return hits[0];
   }
 
  private:
@@ -76,7 +81,7 @@ class Reconstructor {
 
   // True if any column value or descendant row exists under `prefix` —
   // presence test for optional content.
-  bool HasDataUnder(const Ctx& ctx, const RelPath& prefix) {
+  StatusOr<bool> HasDataUnder(const Ctx& ctx, const RelPath& prefix) {
     for (const auto& slot : ctx.tm->slots) {
       if (slot.path.size() < prefix.size()) continue;
       if (!std::equal(prefix.begin(), prefix.end(), slot.path.begin())) {
@@ -90,7 +95,9 @@ class Reconstructor {
       if (!std::equal(prefix.begin(), prefix.end(), child.path.begin())) {
         continue;
       }
-      if (!FetchChildren(ctx, child.type_name).empty()) return true;
+      LEGODB_ASSIGN_OR_RETURN(std::vector<ChildRow> rows,
+                              FetchChildren(ctx, child.type_name));
+      if (!rows.empty()) return true;
     }
     return false;
   }
@@ -102,44 +109,45 @@ class Reconstructor {
     std::string type;
     size_t row_idx;
   };
-  std::vector<ChildRow> FetchChildren(const Ctx& ctx,
-                                      const std::string& ref_type) const {
+  StatusOr<std::vector<ChildRow>> FetchChildren(
+      const Ctx& ctx, const std::string& ref_type) const {
     std::vector<ChildRow> out;
-    CollectChildren(ctx, ref_type, 0, &out);
+    LEGODB_RETURN_IF_ERROR(CollectChildren(ctx, ref_type, 0, &out));
     std::sort(out.begin(), out.end(),
               [](const ChildRow& a, const ChildRow& b) { return a.id < b.id; });
     return out;
   }
 
-  void CollectChildren(const Ctx& ctx, const std::string& ref_type, int depth,
-                       std::vector<ChildRow>* out) const {
-    if (depth > 16) return;
+  Status CollectChildren(const Ctx& ctx, const std::string& ref_type,
+                         int depth, std::vector<ChildRow>* out) const {
+    if (depth > 16) return Status::OK();
     const TypeMapping* ctm = m_.FindType(ref_type);
-    if (!ctm) return;
+    if (!ctm) return Status::OK();
     if (ctm->virtual_union) {
       for (const auto& alt : ctm->union_alternatives) {
-        CollectChildren(ctx, alt, depth + 1, out);
+        LEGODB_RETURN_IF_ERROR(CollectChildren(ctx, alt, depth + 1, out));
       }
-      return;
+      return Status::OK();
     }
     StoredTable& table = db_->GetTable(ctm->table);
     std::string fk = "parent_" + ctx.tm->type_name;
-    if (table.meta().ColumnIndex(fk) < 0) return;
-    table.EnsureIndex(fk);
-    const std::vector<size_t>* hits =
-        table.Probe(fk, Value::Int(ctx.self_id));
-    if (!hits) return;
-    StatusOr<const ColumnVector*> keys =
-        table.GetOrBuildColumn(table.meta().key_column);
-    if (!keys.ok()) return;  // best-effort: no children on IO failure
-    for (size_t idx : *hits) {
-      out->push_back(ChildRow{(*keys)->value(idx).as_int(), ref_type, idx});
+    if (table.meta().ColumnIndex(fk) < 0) return Status::OK();
+    LEGODB_ASSIGN_OR_RETURN(const HashIndex* index, table.GetOrBuildIndex(fk));
+    const std::vector<size_t>& hits = index->Find(Value::Int(ctx.self_id));
+    if (hits.empty()) return Status::OK();
+    LEGODB_ASSIGN_OR_RETURN(const ColumnVector* keys,
+                            table.GetOrBuildColumn(table.meta().key_column));
+    for (size_t idx : hits) {
+      out->push_back(ChildRow{keys->value(idx).as_int(), ref_type, idx});
     }
+    return Status::OK();
   }
 
   Status EmitChildren(const Ctx& ctx, const std::string& ref_type,
                       xml::Node* parent) {
-    for (const auto& child : FetchChildren(ctx, ref_type)) {
+    LEGODB_ASSIGN_OR_RETURN(std::vector<ChildRow> children,
+                            FetchChildren(ctx, ref_type));
+    for (const auto& child : children) {
       LEGODB_RETURN_IF_ERROR(EmitInstance(child.type, child.row_idx, parent));
     }
     return Status::OK();
@@ -167,7 +175,14 @@ class Reconstructor {
           if (present) tag = tilde->as_string();
         } else {
           tag = t->name.name;
-          if (under_optional) present = HasDataUnder(*ctx, ctx->path);
+          if (under_optional) {
+            StatusOr<bool> has_data = HasDataUnder(*ctx, ctx->path);
+            if (!has_data.ok()) {
+              ctx->path.pop_back();
+              return has_data.status();
+            }
+            present = *has_data;
+          }
         }
         Status st = Status::OK();
         if (present) {
@@ -198,7 +213,8 @@ class Reconstructor {
         // interleave alternatives.
         std::vector<ChildRow> merged;
         for (const auto& alt : t->children) {
-          CollectChildren(*ctx, alt->ref_name, 0, &merged);
+          LEGODB_RETURN_IF_ERROR(
+              CollectChildren(*ctx, alt->ref_name, 0, &merged));
         }
         std::sort(merged.begin(), merged.end(),
                   [](const ChildRow& a, const ChildRow& b) {

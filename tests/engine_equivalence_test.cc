@@ -107,9 +107,9 @@ class ExecutorEquivalenceTest : public ::testing::Test {
   }
 
   // Same document on the paged backend, with a pool small enough that the
-  // workload actually faults and evicts (the reference executor only runs
-  // on memory tables, so disk tests compare against a separate memory
-  // database shredded from the same document).
+  // workload actually faults and evicts. Disk tests compare against the
+  // reference executor on this same database and on a memory database
+  // shredded from the same document.
   std::unique_ptr<store::Database> FreshDiskDatabase() {
     auto db = std::make_unique<store::Database>(
         mapping_->catalog(),
@@ -291,14 +291,19 @@ TEST_F(ExecutorEquivalenceTest, PrewarmedConcurrentServing) {
   }
 }
 
-// The tentpole's gate: the paged backend must return bit-identical results
-// to the memory backend (and hence to the reference executor) across batch
-// sizes, with a pool far smaller than the data so faults and evictions are
-// on the hot path.
+// The paged backend must return bit-identical results to the memory
+// backend and to the reference executor on the same paged database, across
+// batch sizes, with a pool far smaller than the data so faults and
+// evictions are on the hot path.
 TEST_F(ExecutorEquivalenceTest, DiskBackendBitIdenticalToMemory) {
   auto mem_db = FreshDatabase();
   std::vector<xq::ResultSet> expected = ReferenceResults(mem_db.get());
   auto disk_db = FreshDiskDatabase();
+  std::vector<xq::ResultSet> disk_expected = ReferenceResults(disk_db.get());
+  for (size_t i = 0; i < prepared_->size(); ++i) {
+    ExpectIdentical(expected[i], disk_expected[i],
+                    (*prepared_)[i].name + " reference on disk");
+  }
   for (size_t batch_size : {size_t{1}, size_t{64}, size_t{1024}}) {
     engine::ExecOptions options;
     options.batch_size = batch_size;
@@ -308,9 +313,11 @@ TEST_F(ExecutorEquivalenceTest, DiskBackendBitIdenticalToMemory) {
       auto actual = exec.ExecuteQuery(p.rq, p.plans);
       ASSERT_TRUE(actual.ok()) << p.name << ": "
                                << actual.status().ToString();
-      ExpectIdentical(expected[i], actual.value(),
-                      p.name + " on disk at batch_size=" +
-                          std::to_string(batch_size));
+      const std::string context =
+          p.name + " on disk at batch_size=" + std::to_string(batch_size);
+      ExpectIdentical(expected[i], actual.value(), context);
+      ExpectIdentical(disk_expected[i], actual.value(),
+                      context + " vs disk reference");
     }
   }
   // The workload drove real page traffic through the pool.
@@ -352,6 +359,7 @@ TEST_F(ExecutorEquivalenceTest, DiskSpilledJoinsBitIdentical) {
   auto mem_db = FreshDatabase();
   std::vector<xq::ResultSet> expected = ReferenceResults(mem_db.get());
   auto disk_db = FreshDiskDatabase();
+  std::vector<xq::ResultSet> disk_expected = ReferenceResults(disk_db.get());
   engine::ExecOptions options;
   options.spill_build_bytes = 1;  // every build side spills
   bool spilled = false;
@@ -361,6 +369,8 @@ TEST_F(ExecutorEquivalenceTest, DiskSpilledJoinsBitIdentical) {
     auto actual = exec.ExecuteQuery(p.rq, p.plans);
     ASSERT_TRUE(actual.ok()) << p.name << ": " << actual.status().ToString();
     ExpectIdentical(expected[i], actual.value(), p.name + " spilled");
+    ExpectIdentical(disk_expected[i], actual.value(),
+                    p.name + " spilled vs disk reference");
     spilled |= exec.stats().bytes_spilled > 0;
   }
   EXPECT_TRUE(spilled);  // at least one join actually took the spill path
@@ -376,6 +386,11 @@ TEST_F(ExecutorEquivalenceTest, ConcurrentDiskServingIsBitIdentical) {
       store::StorageOptions::Paged(/*page_size=*/1024, /*pool_pages=*/16));
   ASSERT_TRUE(store::ShredDocument(*doc_, *mapping_, disk_db.get()).ok());
   ASSERT_TRUE(disk_db->PrewarmIndexes().ok());
+  std::vector<xq::ResultSet> disk_expected = ReferenceResults(disk_db.get());
+  for (size_t i = 0; i < prepared_->size(); ++i) {
+    ExpectIdentical(expected[i], disk_expected[i],
+                    (*prepared_)[i].name + " reference on disk");
+  }
 
   constexpr int kThreads = 8;
   const size_t batch_sizes[kThreads] = {1, 64, 4096, 1024, 7, 256, 2, 512};

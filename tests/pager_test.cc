@@ -12,7 +12,6 @@
 #include "common/failpoint.h"
 #include "mapping/mapping.h"
 #include "pschema/pschema.h"
-#include "storage/backend.h"
 #include "storage/buffer_pool.h"
 #include "storage/database.h"
 #include "storage/pager.h"
@@ -40,6 +39,14 @@ map::Mapping MapText(const char* schema_text) {
   EXPECT_TRUE(mapping.ok()) << mapping.status().ToString();
   return std::move(mapping).value();
 }
+
+// A pager plus the pool over it: the machinery a paged Database owns.
+struct PagedStore {
+  explicit PagedStore(size_t pool_pages, size_t page_size = 512)
+      : pager(OpenPager(page_size)), pool(pager.get(), pool_pages) {}
+  std::unique_ptr<Pager> pager;
+  BufferPool pool;
+};
 
 rel::Table SimpleMeta() {
   rel::Table meta;
@@ -232,10 +239,8 @@ TEST(BufferPool, FailedFaultLeavesPoolClean) {
 // ---- Paged StoredTable ----
 
 TEST(PagedTable, InsertReadRemoveAcrossPages) {
-  auto backend =
-      OpenBackend(StorageOptions::Paged(/*page_size=*/512, /*pool_pages=*/2));
-  ASSERT_TRUE(backend.ok()) << backend.status().ToString();
-  StoredTable t(SimpleMeta(), backend->get());
+  PagedStore store(/*pool_pages=*/2, /*page_size=*/512);
+  StoredTable t(SimpleMeta(), &store.pool);
   ASSERT_TRUE(t.paged());
 
   // ~60 bytes per row: several pages' worth.
@@ -271,17 +276,15 @@ TEST(PagedTable, InsertReadRemoveAcrossPages) {
 }
 
 TEST(PagedTable, IndexesAndColumnsWorkOverPages) {
-  auto backend = OpenBackend(StorageOptions::Paged(512, 2));
-  ASSERT_TRUE(backend.ok());
-  StoredTable t(SimpleMeta(), backend->get());
+  PagedStore store(2);
+  StoredTable t(SimpleMeta(), &store.pool);
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(t.Insert({Value::Int(i), Value::Str(i % 2 ? "odd" : "even")})
                     .ok());
   }
-  t.EnsureIndex("x");
-  const auto* hits = t.Probe("x", Value::Str("odd"));
-  ASSERT_NE(hits, nullptr);
-  EXPECT_EQ(hits->size(), 10u);
+  auto index = t.GetOrBuildIndex("x");
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  EXPECT_EQ((*index)->Find(Value::Str("odd")).size(), 10u);
   auto col = t.GetOrBuildColumn("T_id");
   ASSERT_TRUE(col.ok());
   ASSERT_EQ((*col)->size(), 20u);
@@ -289,9 +292,8 @@ TEST(PagedTable, IndexesAndColumnsWorkOverPages) {
 }
 
 TEST(PagedTable, FetchRowRangeChargesOnlyFaults) {
-  auto backend = OpenBackend(StorageOptions::Paged(512, /*pool_pages=*/1));
-  ASSERT_TRUE(backend.ok());
-  StoredTable t(SimpleMeta(), backend->get());
+  PagedStore store(/*pool_pages=*/1);
+  StoredTable t(SimpleMeta(), &store.pool);
   for (int i = 0; i < 50; ++i) {
     ASSERT_TRUE(
         t.Insert({Value::Int(i), Value::Str(std::string(40, 'p'))}).ok());
@@ -309,13 +311,97 @@ TEST(PagedTable, FetchRowRangeChargesOnlyFaults) {
 }
 
 TEST(PagedTable, RowTooLargeForPageIsRejected) {
-  auto backend = OpenBackend(StorageOptions::Paged(512, 2));
-  ASSERT_TRUE(backend.ok());
-  StoredTable t(SimpleMeta(), backend->get());
+  PagedStore store(2);
+  StoredTable t(SimpleMeta(), &store.pool);
   Status st = t.Insert({Value::Int(1), Value::Str(std::string(600, 'x'))});
   EXPECT_EQ(st.code(), Status::Code::kInternal);
   EXPECT_EQ(t.row_count(), 0u);  // failed insert leaves no trace
   EXPECT_TRUE(t.Insert({Value::Int(1), Value::Str("fits")}).ok());
+}
+
+// ---- Memory vs paged tables ----
+
+// Every view a reader can take of the two tables — rows, each column's
+// vector and each column's hash index — must agree exactly.
+void ExpectSameTable(StoredTable& mem, StoredTable& disk) {
+  ASSERT_EQ(mem.row_count(), disk.row_count());
+  for (size_t i = 0; i < mem.row_count(); ++i) {
+    auto a = mem.ReadRow(i);
+    auto b = disk.ReadRow(i);
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_EQ(*a, *b) << "row " << i;
+  }
+  for (const rel::Column& column : mem.meta().columns) {
+    auto a = mem.GetOrBuildColumn(column.name);
+    auto b = disk.GetOrBuildColumn(column.name);
+    ASSERT_TRUE(a.ok() && b.ok()) << column.name;
+    const ColumnVector& ca = **a;
+    const ColumnVector& cb = **b;
+    ASSERT_EQ(ca.size(), mem.row_count()) << column.name;
+    ASSERT_EQ(cb.size(), mem.row_count()) << column.name;
+    EXPECT_EQ(ca.typed_int(), cb.typed_int()) << column.name;
+    for (size_t i = 0; i < ca.size(); ++i) {
+      EXPECT_EQ(ca.is_null(i), cb.is_null(i)) << column.name << " " << i;
+      EXPECT_EQ(ca.value(i), cb.value(i)) << column.name << " " << i;
+      if (ca.typed_int() && cb.typed_int()) {
+        EXPECT_EQ(ca.ints()[i], cb.ints()[i]) << column.name << " " << i;
+      }
+    }
+    auto ia = mem.GetOrBuildIndex(column.name);
+    auto ib = disk.GetOrBuildIndex(column.name);
+    ASSERT_TRUE(ia.ok() && ib.ok()) << column.name;
+    EXPECT_EQ((*ia)->distinct_keys(), (*ib)->distinct_keys()) << column.name;
+    for (size_t i = 0; i < ca.size(); ++i) {
+      EXPECT_EQ((*ia)->Find(ca.value(i)), (*ib)->Find(ca.value(i)))
+          << column.name << " " << i;
+    }
+  }
+}
+
+TEST(MemoryVsPaged, RollbackLeavesIdenticalTables) {
+  rel::Table meta = SimpleMeta();
+  rel::Column y;
+  y.name = "y";
+  meta.columns.push_back(y);
+  PagedStore store(2);
+  StoredTable mem(meta);
+  StoredTable disk(meta, &store.pool);
+  ASSERT_FALSE(mem.paged());
+  ASSERT_TRUE(disk.paged());
+
+  // x is an integer column with NULLs until its last row, the column's only
+  // string; y is a string column with NULLs. ~60-byte rows span pages.
+  std::vector<Row> rows;
+  for (int i = 0; i < 40; ++i) {
+    rows.push_back({Value::Int(i),
+                    i % 3 == 0 ? Value::MakeNull() : Value::Int(i % 7),
+                    i % 4 == 0 ? Value::MakeNull()
+                               : Value::Str("payload_" + std::to_string(i % 5) +
+                                            std::string(32, 'y'))});
+  }
+  rows.push_back({Value::Int(40), Value::Str("the only string"),
+                  Value::Str("tail")});
+  for (const Row& row : rows) {
+    ASSERT_TRUE(mem.Insert(row).ok());
+    ASSERT_TRUE(disk.Insert(row).ok());
+  }
+  ExpectSameTable(mem, disk);
+  EXPECT_FALSE((*mem.GetOrBuildColumn("x"))->typed_int());
+
+  // Rolling back the string row makes x integer-typed again on both.
+  ASSERT_TRUE(mem.RemoveLastRows(1).ok());
+  ASSERT_TRUE(disk.RemoveLastRows(1).ok());
+  EXPECT_FALSE(mem.HasIndex("x"));
+  EXPECT_FALSE(disk.HasIndex("x"));
+  ExpectSameTable(mem, disk);
+  EXPECT_TRUE((*mem.GetOrBuildColumn("x"))->typed_int());
+
+  // A longer rollback that unwinds whole pages.
+  ASSERT_TRUE(mem.RemoveLastRows(25).ok());
+  ASSERT_TRUE(disk.RemoveLastRows(25).ok());
+  EXPECT_EQ(mem.row_count(), 15u);
+  ExpectSameTable(mem, disk);
+  EXPECT_EQ(mem.mutation_count(), disk.mutation_count());
 }
 
 // ---- Paged Database end-to-end ----

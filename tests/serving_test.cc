@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <set>
 #include <thread>
 #include <vector>
@@ -717,8 +718,15 @@ TEST_F(SlowScanTest, ServeWithRetryRidesOutTransientOverload) {
 
   // One slow request occupies the single admission slot; a retrying
   // client must back off until the slot frees instead of failing.
-  std::thread occupant([&] { EXPECT_TRUE(server.Serve(query_).ok()); });
-  while (server.inflight() == 0) std::this_thread::yield();
+  // If this thread is descheduled for the occupant's whole run, the slot
+  // is already free again: stop waiting rather than spin forever (the
+  // request below then succeeds without retries, which is also correct).
+  std::atomic<bool> occupant_done{false};
+  std::thread occupant([&] {
+    EXPECT_TRUE(server.Serve(query_).ok());
+    occupant_done = true;
+  });
+  while (server.inflight() == 0 && !occupant_done) std::this_thread::yield();
 
   RetryPolicy policy;
   policy.max_attempts = 4000;  // bounded, but far beyond the occupant's time

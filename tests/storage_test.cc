@@ -1,4 +1,4 @@
-// Unit tests for the storage layer: heap tables and hash indexes, the
+// Unit tests for the storage layer: memory tables and hash indexes, the
 // shredder (optionals, unions, wildcards, backtracking, rollback), and the
 // reconstructor (inverse mapping, ordering, presence of optional content).
 #include <gtest/gtest.h>
@@ -30,6 +30,13 @@ map::Mapping MapText(const char* schema_text) {
   return std::move(mapping).value();
 }
 
+// Row `i` of `t`, failing the test when it cannot be read.
+Row RowAt(const StoredTable& t, size_t i) {
+  auto row = t.ReadRow(i);
+  EXPECT_TRUE(row.ok()) << row.status().ToString();
+  return row.ok() ? std::move(row).value() : Row(t.meta().columns.size());
+}
+
 Database Shred(const map::Mapping& m, const char* xml_text) {
   Database db(m.catalog());
   auto doc = xml::ParseDocument(xml_text);
@@ -53,12 +60,16 @@ TEST(StoredTable, InsertAndIndex) {
   t.Insert({Value::Int(1), Value::Str("a")});
   t.Insert({Value::Int(2), Value::Str("a")});
   t.Insert({Value::Int(3), Value::MakeNull()});
-  t.EnsureIndex("x");
-  const auto* hits = t.Probe("x", Value::Str("a"));
-  ASSERT_NE(hits, nullptr);
-  EXPECT_EQ(hits->size(), 2u);
+  auto index = t.GetOrBuildIndex("x");
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  EXPECT_EQ((*index)->Find(Value::Str("a")).size(), 2u);
   // NULLs are not indexed.
-  EXPECT_TRUE(t.Probe("x", Value::MakeNull())->empty());
+  EXPECT_TRUE((*index)->Find(Value::MakeNull()).empty());
+  // An unknown column is an error, not an abort.
+  EXPECT_EQ(t.GetOrBuildIndex("nope").status().code(),
+            Status::Code::kInternal);
+  EXPECT_EQ(t.GetOrBuildColumn("nope").status().code(),
+            Status::Code::kInternal);
 }
 
 TEST(StoredTable, InsertInvalidatesIndexes) {
@@ -70,12 +81,67 @@ TEST(StoredTable, InsertInvalidatesIndexes) {
   meta.columns = {id};
   StoredTable t(meta);
   t.Insert({Value::Int(1)});
-  t.EnsureIndex("T_id");
+  ASSERT_TRUE(t.GetOrBuildIndex("T_id").ok());
   EXPECT_TRUE(t.HasIndex("T_id"));
   t.Insert({Value::Int(2)});
   EXPECT_FALSE(t.HasIndex("T_id"));
-  t.EnsureIndex("T_id");
-  EXPECT_EQ(t.Probe("T_id", Value::Int(2))->size(), 1u);
+  auto index = t.GetOrBuildIndex("T_id");
+  ASSERT_TRUE(index.ok());
+  EXPECT_EQ((*index)->Find(Value::Int(2)).size(), 1u);
+}
+
+TEST(StoredTable, MemoryColumnsAreTheStorage) {
+  rel::Table meta;
+  meta.name = "T";
+  rel::Column id, x;
+  id.name = "T_id";
+  x.name = "x";
+  meta.columns = {id, x};
+  StoredTable t(meta);
+  ASSERT_FALSE(t.paged());
+  // The column exists before any row, and every insert appends to it: the
+  // pointer a reader got stays the table's one copy of the values.
+  auto col = t.GetOrBuildColumn("x");
+  ASSERT_TRUE(col.ok());
+  EXPECT_EQ((*col)->size(), 0u);
+  t.Insert({Value::Int(1), Value::Int(10)});
+  t.Insert({Value::Int(2), Value::MakeNull()});
+  auto again = t.GetOrBuildColumn("x");
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, *col);
+  ASSERT_EQ((*col)->size(), 2u);
+  EXPECT_TRUE((*col)->typed_int());
+  EXPECT_EQ((*col)->ints()[0], 10);
+  EXPECT_TRUE((*col)->is_null(1));
+  EXPECT_EQ(RowAt(t, 0), (Row{Value::Int(1), Value::Int(10)}));
+  EXPECT_FALSE(t.ReadRow(2).ok());
+}
+
+TEST(StoredTable, RollbackRestoresTypedIntColumn) {
+  rel::Table meta;
+  meta.name = "T";
+  rel::Column x;
+  x.name = "x";
+  meta.columns = {x};
+  StoredTable t(meta);
+  t.Insert({Value::Int(7)});
+  t.Insert({Value::MakeNull()});
+  t.Insert({Value::Str("only string")});
+  auto col = t.GetOrBuildColumn("x");
+  ASSERT_TRUE(col.ok());
+  EXPECT_FALSE((*col)->typed_int());
+  // Removing the column's only string brings back the int64 view a fresh
+  // build of the surviving rows has.
+  ASSERT_TRUE(t.RemoveLastRows(1).ok());
+  EXPECT_EQ(t.row_count(), 2u);
+  ColumnVector fresh({Value::Int(7), Value::MakeNull()});
+  ASSERT_EQ((*col)->size(), fresh.size());
+  EXPECT_EQ((*col)->typed_int(), fresh.typed_int());
+  EXPECT_TRUE((*col)->typed_int());
+  EXPECT_EQ((*col)->ints()[0], 7);
+  EXPECT_TRUE((*col)->is_null(1));
+  EXPECT_EQ((*col)->value(0), Value::Int(7));
+  EXPECT_EQ(t.mutation_count(), 4u);
 }
 
 TEST(DatabaseTest, CreatesAllTablesEmpty) {
@@ -105,8 +171,8 @@ TEST(Shredder, ScalarColumnsCanonicalized) {
   int xi = t.meta().ColumnIndex("x");
   int yi = t.meta().ColumnIndex("y");
   // Integer-looking strings canonicalize to Int (matching the evaluator).
-  EXPECT_EQ(t.rows()[0][xi], Value::Int(123));
-  EXPECT_EQ(t.rows()[0][yi], Value::Int(45));
+  EXPECT_EQ(RowAt(t, 0)[xi], Value::Int(123));
+  EXPECT_EQ(RowAt(t, 0)[yi], Value::Int(45));
 }
 
 TEST(Shredder, ParentForeignKeysLinkRows) {
@@ -118,16 +184,16 @@ TEST(Shredder, ParentForeignKeysLinkRows) {
   ASSERT_EQ(b.row_count(), 2u);
   int key = a.meta().ColumnIndex("A_id");
   int fk = b.meta().ColumnIndex("parent_A");
-  EXPECT_EQ(b.rows()[0][fk], a.rows()[0][key]);
-  EXPECT_EQ(b.rows()[1][fk], a.rows()[0][key]);
+  EXPECT_EQ(RowAt(b, 0)[fk], RowAt(a, 0)[key]);
+  EXPECT_EQ(RowAt(b, 1)[fk], RowAt(a, 0)[key]);
 }
 
 TEST(Shredder, OptionalAbsenceStoresNull) {
   map::Mapping m = MapText("type A = a[ x[ String ]?, y[ String ] ]");
   Database db = Shred(m, "<a><y>present</y></a>");
   const StoredTable& t = db.GetTable("A");
-  EXPECT_TRUE(t.rows()[0][t.meta().ColumnIndex("x")].is_null());
-  EXPECT_EQ(t.rows()[0][t.meta().ColumnIndex("y")], Value::Str("present"));
+  EXPECT_TRUE(RowAt(t, 0)[t.meta().ColumnIndex("x")].is_null());
+  EXPECT_EQ(RowAt(t, 0)[t.meta().ColumnIndex("y")], Value::Str("present"));
 }
 
 TEST(Shredder, UnionPicksMatchingAlternative) {
@@ -155,8 +221,8 @@ TEST(Shredder, WildcardStoresTagName) {
   const StoredTable& r = db.GetTable("R");
   ASSERT_EQ(r.row_count(), 2u);
   int tilde = r.meta().ColumnIndex("tilde");
-  EXPECT_EQ(r.rows()[0][tilde], Value::Str("nyt"));
-  EXPECT_EQ(r.rows()[1][tilde], Value::Str("sun"));
+  EXPECT_EQ(RowAt(r, 0)[tilde], Value::Str("nyt"));
+  EXPECT_EQ(RowAt(r, 1)[tilde], Value::Str("sun"));
 }
 
 TEST(Shredder, WildcardExclusionRespected) {
@@ -199,7 +265,9 @@ TEST(Shredder, RecursiveTypes) {
   ASSERT_EQ(n.row_count(), 3u);
   int fk = n.meta().ColumnIndex("parent_N");
   int present = 0;
-  for (const auto& row : n.rows()) present += row[fk].is_null() ? 0 : 1;
+  for (size_t i = 0; i < n.row_count(); ++i) {
+    present += RowAt(n, i)[fk].is_null() ? 0 : 1;
+  }
   EXPECT_EQ(present, 2);  // two children reference the root
 }
 
