@@ -278,17 +278,14 @@ class ObsSession {
 };
 
 // Stamps the engine configuration an engine-driving bench ran with —
-// batch_size, vector_size, and the client thread count(s) — so
+// batch_size (the lane count) and the client thread count(s) — so
 // `bench_report` consumers can compare trajectories like-for-like. Every
 // driver that executes queries should call this instead of hand-stamping a
-// subset (micro_engine used to stamp vector_size while calibration stamped
-// nothing). `threads` is free-form so sweep drivers can record "1,4,8".
+// subset. `threads` is free-form so sweep drivers can record "1,4,8".
 inline void StampEngineMeta(ObsSession* session,
                             const engine::ExecOptions& options,
                             const std::string& threads = "1") {
   session->SetMeta("batch_size", std::to_string(options.batch_size));
-  session->SetMeta("vector_size",
-                   std::to_string(options.EffectiveVectorSize()));
   session->SetMeta("threads", threads);
 }
 

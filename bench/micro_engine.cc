@@ -4,9 +4,12 @@
 // The reference-vs-batched executor equality check runs unconditionally in
 // main() before any benchmark (even with --benchmark_filter), and a
 // mismatch exits nonzero. `--obs-out=FILE` writes the run's obs::Report
-// (provenance-stamped; see bench::ObsSession) there as JSON.
+// (provenance-stamped; see bench::ObsSession) there as JSON. Any flag that
+// is neither that nor a Google Benchmark flag exits 2 with a usage line,
+// before the check runs.
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -213,6 +216,17 @@ int main(int argc, char** argv) {
   }
   argc = out_argc;
 
+  // Google Benchmark takes the remaining flags; reject anything else before
+  // the correctness gate spends its time, with the exit code and usage
+  // line every other bench and the CLI use.
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
+    std::fprintf(stderr,
+                 "usage: micro_engine [--obs-out=FILE] "
+                 "[--benchmark_<flag>=VALUE...]\n");
+    return 2;
+  }
+
   // Ambient metrics only when a report was asked for: the per-operator
   // timing wrappers activate whenever a registry is installed, and that
   // overhead must not leak into the default benchmark numbers.
@@ -231,8 +245,6 @@ int main(int argc, char** argv) {
 
   VerifyFig10();
 
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 

@@ -5,6 +5,7 @@
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -18,6 +19,7 @@ using store::ColumnVector;
 using store::HashIndex;
 using store::Row;
 using store::StoredTable;
+using NodePrograms = PreparedPrograms::NodePrograms;
 
 void ExecStats::Add(const ExecStats& other) {
   tuples_processed += other.tuples_processed;
@@ -113,11 +115,11 @@ struct ExecContext {
   const std::map<std::string, Value>* params = nullptr;
   ExecStats* stats = nullptr;
   const opt::QueryBlock* block = nullptr;
-  ExprEnv env;  // env.tables doubles as the block's table list
-  size_t vector_size = 1;
+  std::vector<StoredTable*> tables;  // per block relation
+  size_t lanes = 1;    // lanes per exchanged vector (ExecOptions::batch_size)
   bool timed = false;  // operators accumulate wall time per Next/Open
-  // Prepared templates for this plan, or nullptr (normal Open-time
-  // compilation). Only set when compiled against this executor's Database.
+  // Programs for every operator of the plan: the caller's set when it was
+  // compiled against this executor's Database, else this block's own.
   const PreparedPrograms* prepared = nullptr;
   // Cooperative interruption (ExecOptions::deadline_ns / ::cancel),
   // polled once per vector. `interruptible` caches "either is set" so the
@@ -138,20 +140,17 @@ struct ExecContext {
   }
 
   size_t nrels() const { return block->rels.size(); }
-  std::vector<StoredTable*>& tables() { return env.tables; }
-  const PreparedPrograms::NodePrograms* Prepared(
-      const opt::PhysicalPlan* node) const {
-    return prepared == nullptr ? nullptr : prepared->Find(node);
-  }
 };
 
-// A pipelined operator: Next() refills `out` with up to ctx->vector_size
-// lanes (join operators may overshoot when one input lane matches several
-// rows); zero lanes signal end of stream.
+// A pipelined operator: Next() refills `out` with up to ctx->lanes lanes
+// (join operators may overshoot when one input lane matches several rows);
+// zero lanes signal end of stream. `prog` holds the node's prepared
+// programs, which Open() binds instead of compiling anything.
 class Operator {
  public:
-  Operator(ExecContext* ctx, const opt::PhysicalPlan* node)
-      : ctx_(ctx), node_(node) {}
+  Operator(ExecContext* ctx, const opt::PhysicalPlan* node,
+           const NodePrograms* prog)
+      : ctx_(ctx), node_(node), prog_(prog) {}
   virtual ~Operator() = default;
 
   virtual Status Open() = 0;
@@ -191,6 +190,7 @@ class Operator {
   }
 
   const opt::PhysicalPlan* node() const { return node_; }
+  const NodePrograms* programs() const { return prog_; }
   int64_t rows_produced() const { return rows_; }
   int64_t rows_examined() const { return rows_in_; }
   int64_t batches() const { return batches_; }
@@ -201,7 +201,7 @@ class Operator {
 
  protected:
   double RowWidth(int rel) const {
-    return ctx_->tables()[rel]->meta().RowWidth();
+    return ctx_->tables[rel]->meta().RowWidth();
   }
   ExecStats& stats() const { return *ctx_->stats; }
   void CountInput(size_t lanes) {
@@ -210,6 +210,7 @@ class Operator {
 
   ExecContext* ctx_;
   const opt::PhysicalPlan* node_;
+  const NodePrograms* prog_;
 
  private:
   int64_t rows_ = 0;
@@ -226,19 +227,13 @@ class Operator {
 // selected ones to `out_col`. `cand` must hold the candidates as int32.
 class ScanFilter {
  public:
-  // Compiles the filters of `node`'s relation — or, when the plan was
-  // prepared, copies the node's template and binds this execution's
-  // parameters (no compilation, no catalog lookups).
-  Status Compile(const ExecContext& ctx, const opt::PhysicalPlan* node) {
+  // Copies the prepared filter template of `node`'s relation and binds
+  // this execution's parameters.
+  Status Bind(const ExecContext& ctx, const opt::PhysicalPlan* node,
+              const NodePrograms& prog) {
     rel_ = node->rel;
-    if (const PreparedPrograms::NodePrograms* p = ctx.Prepared(node)) {
-      program_ = p->filter;
-      return program_.BindParams(*ctx.params);
-    }
-    LEGODB_ASSIGN_OR_RETURN(
-        program_,
-        CompileFilters(ctx.env, node->rel, node->filters, *ctx.params));
-    return Status::OK();
+    program_ = prog.filter;
+    return program_.BindParams(*ctx.params);
   }
 
   bool empty() const { return program_.empty(); }
@@ -269,9 +264,9 @@ class SeqScanOp : public Operator {
   using Operator::Operator;
 
   Status Open() override {
-    LEGODB_RETURN_IF_ERROR(filter_.Compile(*ctx_, node_));
+    LEGODB_RETURN_IF_ERROR(filter_.Bind(*ctx_, node_, *prog_));
     width_ = RowWidth(node_->rel);
-    paged_ = ctx_->tables()[node_->rel]->paged();
+    paged_ = ctx_->tables[node_->rel]->paged();
     // The memory backend keeps the modeled per-scan charge (one seek plus
     // width bytes per row below) so its stats — and every golden built on
     // them — are unchanged; the paged backend instead charges the page
@@ -283,7 +278,7 @@ class SeqScanOp : public Operator {
 
   Status Next(ColumnBatch* out) override {
     out->Clear();
-    StoredTable* table = ctx_->tables()[node_->rel];
+    StoredTable* table = ctx_->tables[node_->rel];
     size_t total = table->row_count();
     std::vector<int32_t>& col = out->rels[node_->rel];
     // An empty batch signals end of stream, so keep scanning candidate
@@ -292,7 +287,7 @@ class SeqScanOp : public Operator {
     // not just the root pull loop — must poll for deadline/cancellation.
     while (col.empty() && pos_ < total) {
       LEGODB_RETURN_IF_ERROR(ctx_->CheckInterrupt());
-      size_t take = std::min(ctx_->vector_size, total - pos_);
+      size_t take = std::min(ctx_->lanes, total - pos_);
       if (paged_) {
         LEGODB_ASSIGN_OR_RETURN(store::TableIo io,
                                 table->FetchRowRange(pos_, pos_ + take));
@@ -329,7 +324,7 @@ class IndexLookupOp : public Operator {
   using Operator::Operator;
 
   Status Open() override {
-    LEGODB_RETURN_IF_ERROR(filter_.Compile(*ctx_, node_));
+    LEGODB_RETURN_IF_ERROR(filter_.Bind(*ctx_, node_, *prog_));
     const opt::FilterPred* driver = nullptr;
     for (const auto& f : node_->filters) {
       if (f.rel == node_->rel && f.column == node_->index_column &&
@@ -343,17 +338,9 @@ class IndexLookupOp : public Operator {
     }
     LEGODB_ASSIGN_OR_RETURN(Value key,
                             ResolveConstant(*ctx_->params, driver->value));
-    const HashIndex* index = nullptr;
-    if (const PreparedPrograms::NodePrograms* prep = ctx_->Prepared(node_)) {
-      index = prep->index;
-    } else {
-      LEGODB_ASSIGN_OR_RETURN(
-          index,
-          ctx_->tables()[node_->rel]->GetOrBuildIndex(node_->index_column));
-    }
-    hits_ = &index->Find(key);
+    hits_ = &prog_->index->Find(key);
     width_ = RowWidth(node_->rel);
-    paged_ = ctx_->tables()[node_->rel]->paged();
+    paged_ = ctx_->tables[node_->rel]->paged();
     if (!paged_) stats().seeks += 1;  // modeled charge; see SeqScanOp::Open
     pos_ = 0;
     return Status::OK();
@@ -367,7 +354,7 @@ class IndexLookupOp : public Operator {
     // as in SeqScan).
     while (col.empty() && pos_ < hits_->size()) {
       LEGODB_RETURN_IF_ERROR(ctx_->CheckInterrupt());
-      size_t take = std::min(ctx_->vector_size, hits_->size() - pos_);
+      size_t take = std::min(ctx_->lanes, hits_->size() - pos_);
       cand_.resize(take);
       for (size_t i = 0; i < take; ++i) {
         cand_[i] = static_cast<int32_t>((*hits_)[pos_ + i]);
@@ -376,7 +363,7 @@ class IndexLookupOp : public Operator {
       if (paged_) {
         LEGODB_ASSIGN_OR_RETURN(
             store::TableIo io,
-            ctx_->tables()[node_->rel]->FetchRows(cand_.data(), take));
+            ctx_->tables[node_->rel]->FetchRows(cand_.data(), take));
         stats().seeks += io.seeks;
         stats().bytes_read += io.bytes;
       }
@@ -544,38 +531,26 @@ class SpilledBuild {
 // matches per probe lane come in build order, so output order is identical
 // to the materializing reference executor at any batch size.
 //
-// When the build side is a bare unfiltered scan of the joined relation,
-// the join skips materialization entirely and probes the table's shared
-// pre-built hash index (same row order, so same output): repeated queries
-// stop re-hashing the build side on every execution. Profiled runs keep
-// the materializing path so per-operator actuals reflect the full
-// dataflow; stats are charged identically either way.
+// When preparation gave the join a shared index (the build side is a bare
+// scan of a memory table, see engine/prepared.h), there is no build
+// operator: the join probes the table's pre-built hash index instead (same
+// row order, so same output), profiled or not, and charges what the
+// materializing path would have.
 class HashJoinOp : public Operator {
  public:
+  // `build` is null when the join probes the shared index.
   HashJoinOp(ExecContext* ctx, const opt::PhysicalPlan* node,
-             std::unique_ptr<Operator> probe, std::unique_ptr<Operator> build)
-      : Operator(ctx, node),
+             const NodePrograms* prog, std::unique_ptr<Operator> probe,
+             std::unique_ptr<Operator> build)
+      : Operator(ctx, node, prog),
         probe_(std::move(probe)),
         build_(std::move(build)) {}
 
   Status Open() override {
     LEGODB_RETURN_IF_ERROR(probe_->OpenTimed());
-    const PreparedPrograms::NodePrograms* prep = ctx_->Prepared(node_);
-    if (prep != nullptr) {
-      build_key_ = prep->right_key;
-      probe_key_ = prep->left_key;
-      residuals_ = prep->residuals;
-    } else {
-      LEGODB_ASSIGN_OR_RETURN(
-          build_key_,
-          ResolveColumnVector(ctx_->env, node_->right_join_rel,
-                              node_->right_join_column, "hash join"));
-      LEGODB_ASSIGN_OR_RETURN(
-          probe_key_, ResolveColumnVector(ctx_->env, node_->left_join_rel,
-                                          node_->left_join_column, "hash join"));
-      LEGODB_ASSIGN_OR_RETURN(
-          residuals_, CompileResiduals(ctx_->env, node_->residual_joins));
-    }
+    build_key_ = prog_->right_key;
+    probe_key_ = prog_->left_key;
+    residuals_ = prog_->residuals;
     size_t nrels = ctx_->nrels();
     in_.Init(nrels);
     build_bound_.assign(nrels, 0);
@@ -583,24 +558,12 @@ class HashJoinOp : public Operator {
     relptrs_.assign(nrels, nullptr);
 
     int build_rel = node_->right_join_rel;
-    const opt::PhysicalPlan* b = node_->right.get();
-    // The shared-index bypass charges the *modeled* build-side cost, so it
-    // only applies to memory tables: a paged build side must run the real
-    // scan (and pay its real page traffic).
-    if (!ctx_->timed && !ctx_->tables()[build_rel]->paged() && b &&
-        b->kind == opt::PhysicalPlan::Kind::kSeqScan &&
-        b->rel == build_rel && b->filters.empty()) {
-      if (prep != nullptr && prep->index != nullptr) {
-        shared_index_ = prep->index;
-      } else {
-        LEGODB_ASSIGN_OR_RETURN(
-            shared_index_, ctx_->tables()[build_rel]->GetOrBuildIndex(
-                               node_->right_join_column));
-      }
+    if (prog_->index != nullptr) {
+      shared_index_ = prog_->index;
       build_bound_[build_rel] = 1;
       // Charge what the materializing path would have: the build-side scan
       // (one seek, every row read) plus the join's build-input tuples.
-      double n = static_cast<double>(ctx_->tables()[build_rel]->row_count());
+      double n = static_cast<double>(ctx_->tables[build_rel]->row_count());
       stats().seeks += 1;
       stats().tuples_processed += 2 * n;
       stats().bytes_read += n * RowWidth(build_rel);
@@ -644,11 +607,11 @@ class HashJoinOp : public Operator {
     // Spill oversized build sides to temp pages (paged backend only): the
     // hash table itself (ordinals) stays in memory, but the per-relation
     // row-index vectors — the bulk of the materialization — move to disk.
-    store::Pager* pager = ctx_->tables()[build_rel]->pager();
+    store::Pager* pager = ctx_->tables[build_rel]->pager();
     if (pager != nullptr) {
       size_t threshold = ctx_->e->options().spill_build_bytes;
       if (threshold == 0) {
-        threshold = ctx_->tables()[build_rel]->pool()->capacity() *
+        threshold = ctx_->tables[build_rel]->pool()->capacity() *
                     pager->page_size() / 4;
       }
       size_t build_bytes = 0;
@@ -805,29 +768,17 @@ class HashJoinOp : public Operator {
 class IndexNLJoinOp : public Operator {
  public:
   IndexNLJoinOp(ExecContext* ctx, const opt::PhysicalPlan* node,
-                std::unique_ptr<Operator> outer)
-      : Operator(ctx, node), outer_(std::move(outer)) {}
+                const NodePrograms* prog, std::unique_ptr<Operator> outer)
+      : Operator(ctx, node, prog), outer_(std::move(outer)) {}
 
   Status Open() override {
     LEGODB_RETURN_IF_ERROR(outer_->OpenTimed());
-    LEGODB_RETURN_IF_ERROR(filter_.Compile(*ctx_, node_));
-    if (const PreparedPrograms::NodePrograms* prep = ctx_->Prepared(node_)) {
-      outer_key_ = prep->left_key;
-      index_ = prep->index;
-      residuals_ = prep->residuals;
-    } else {
-      LEGODB_ASSIGN_OR_RETURN(
-          outer_key_,
-          ResolveColumnVector(ctx_->env, node_->left_join_rel,
-                              node_->left_join_column, "index join"));
-      LEGODB_ASSIGN_OR_RETURN(
-          index_,
-          ctx_->tables()[node_->rel]->GetOrBuildIndex(node_->index_column));
-      LEGODB_ASSIGN_OR_RETURN(
-          residuals_, CompileResiduals(ctx_->env, node_->residual_joins));
-    }
+    LEGODB_RETURN_IF_ERROR(filter_.Bind(*ctx_, node_, *prog_));
+    outer_key_ = prog_->left_key;
+    index_ = prog_->index;
+    residuals_ = prog_->residuals;
     width_ = RowWidth(node_->rel);
-    paged_ = ctx_->tables()[node_->rel]->paged();
+    paged_ = ctx_->tables[node_->rel]->paged();
     in_.Init(ctx_->nrels());
     gather_.resize(ctx_->nrels());
     relptrs_.assign(ctx_->nrels(), nullptr);
@@ -864,8 +815,8 @@ class IndexNLJoinOp : public Operator {
       if (paged_ && !cand_.ord.empty()) {
         LEGODB_ASSIGN_OR_RETURN(
             store::TableIo io,
-            ctx_->tables()[inner_rel]->FetchRows(cand_.ord.data(),
-                                                 cand_.ord.size()));
+            ctx_->tables[inner_rel]->FetchRows(cand_.ord.data(),
+                                               cand_.ord.size()));
         stats().seeks += io.seeks;
         stats().bytes_read += io.bytes;
       }
@@ -941,13 +892,21 @@ StatusOr<std::unique_ptr<Operator>> BuildOp(ExecContext* ctx,
                                             std::vector<Operator*>* preorder,
                                             std::vector<int>* depths) {
   if (!p) return Status::Internal("null plan node");
+  if (p->kind == opt::PhysicalPlan::Kind::kProject) {
+    return Status::Internal("nested projection");
+  }
+  const NodePrograms* prog = ctx->prepared->Find(p.get());
+  if (prog == nullptr) {
+    return Status::Internal(std::string("no prepared programs for ") +
+                            KindLabel(p->kind) + " plan node");
+  }
   std::unique_ptr<Operator> op;
   switch (p->kind) {
     case opt::PhysicalPlan::Kind::kSeqScan:
-      op = std::make_unique<SeqScanOp>(ctx, p.get());
+      op = std::make_unique<SeqScanOp>(ctx, p.get(), prog);
       break;
     case opt::PhysicalPlan::Kind::kIndexLookup:
-      op = std::make_unique<IndexLookupOp>(ctx, p.get());
+      op = std::make_unique<IndexLookupOp>(ctx, p.get(), prog);
       break;
     case opt::PhysicalPlan::Kind::kHashJoin: {
       preorder->push_back(nullptr);  // reserve the parent's pre-order slot
@@ -956,10 +915,12 @@ StatusOr<std::unique_ptr<Operator>> BuildOp(ExecContext* ctx,
       LEGODB_ASSIGN_OR_RETURN(
           std::unique_ptr<Operator> probe,
           BuildOp(ctx, p->left, depth + 1, preorder, depths));
-      LEGODB_ASSIGN_OR_RETURN(
-          std::unique_ptr<Operator> build,
-          BuildOp(ctx, p->right, depth + 1, preorder, depths));
-      op = std::make_unique<HashJoinOp>(ctx, p.get(), std::move(probe),
+      std::unique_ptr<Operator> build;  // none when probing the shared index
+      if (prog->index == nullptr) {
+        LEGODB_ASSIGN_OR_RETURN(
+            build, BuildOp(ctx, p->right, depth + 1, preorder, depths));
+      }
+      op = std::make_unique<HashJoinOp>(ctx, p.get(), prog, std::move(probe),
                                         std::move(build));
       (*preorder)[slot] = op.get();
       return op;
@@ -971,19 +932,22 @@ StatusOr<std::unique_ptr<Operator>> BuildOp(ExecContext* ctx,
       LEGODB_ASSIGN_OR_RETURN(
           std::unique_ptr<Operator> outer,
           BuildOp(ctx, p->left, depth + 1, preorder, depths));
-      op = std::make_unique<IndexNLJoinOp>(ctx, p.get(), std::move(outer));
+      op = std::make_unique<IndexNLJoinOp>(ctx, p.get(), prog,
+                                           std::move(outer));
       (*preorder)[slot] = op.get();
       return op;
     }
     case opt::PhysicalPlan::Kind::kProject:
-      return Status::Internal("nested projection");
+      break;  // rejected above
   }
   preorder->push_back(op.get());
   depths->push_back(depth);
   return op;
 }
 
-std::string OpLabel(const ExecContext& ctx, const opt::PhysicalPlan& p) {
+// `prog` is null for the projection root.
+std::string OpLabel(const ExecContext& ctx, const opt::PhysicalPlan& p,
+                    const NodePrograms* prog) {
   std::string label = KindLabel(p.kind);
   auto alias = [&](int rel) {
     return rel >= 0 && rel < static_cast<int>(ctx.block->rels.size())
@@ -1000,6 +964,7 @@ std::string OpLabel(const ExecContext& ctx, const opt::PhysicalPlan& p) {
     case opt::PhysicalPlan::Kind::kHashJoin:
       label += "(" + alias(p.left_join_rel) + "." + p.left_join_column + "=" +
                alias(p.right_join_rel) + "." + p.right_join_column + ")";
+      if (prog != nullptr && prog->index != nullptr) label += " shared index";
       break;
     case opt::PhysicalPlan::Kind::kIndexNLJoin:
       label += "(" + alias(p.left_join_rel) + "." + p.left_join_column +
@@ -1020,11 +985,11 @@ class BlockExecutor {
     ctx_.params = &e->params_;
     ctx_.stats = &e->stats_;
     ctx_.block = &block;
-    ctx_.vector_size = e->options_.EffectiveVectorSize();
+    ctx_.lanes = std::max<size_t>(e->options_.batch_size, 1);
     ctx_.timed =
         e->options_.collect_profile || obs::Current() != nullptr;
     // A prepared set compiled against a different database would hand out
-    // foreign column/index pointers; ignore it rather than trust it.
+    // foreign column/index pointers; Run() prepares its own instead.
     if (e->options_.prepared != nullptr &&
         e->options_.prepared->database() == e->db_) {
       ctx_.prepared = e->options_.prepared;
@@ -1043,12 +1008,17 @@ class BlockExecutor {
     for (const auto& rel : block.rels) {
       StoredTable* table = e->db_->FindTable(rel.table);
       if (!table) return Status::NotFound("table '" + rel.table + "'");
-      ctx_.tables().push_back(table);
+      ctx_.tables.push_back(table);
     }
-    // A prepared plan carries column/index pointers into table registries
-    // that any mutation invalidates; refuse to chase them once stale.
+    // A caller's prepared plan carries column/index pointers into table
+    // registries that any mutation invalidates; refuse to chase them once
+    // stale. Without one, this block prepares its own programs.
     if (ctx_.prepared != nullptr) {
       LEGODB_RETURN_IF_ERROR(ctx_.prepared->CheckFresh());
+    } else {
+      LEGODB_ASSIGN_OR_RETURN(
+          own_prepared_, PreparedPrograms::CompileBlock(e->db_, block, plan));
+      ctx_.prepared = &*own_prepared_;
     }
 
     std::vector<Operator*> preorder;
@@ -1076,10 +1046,10 @@ class BlockExecutor {
       Output o;
       o.rel = out.rel;
       if (out.rel >= 0) {
-        o.col = ctx_.tables()[out.rel]->meta().ColumnIndex(out.column);
+        o.col = ctx_.tables[out.rel]->meta().ColumnIndex(out.column);
         if (o.col >= 0) {
           LEGODB_ASSIGN_OR_RETURN(
-              o.vec, ctx_.tables()[out.rel]->GetOrBuildColumn(out.column));
+              o.vec, ctx_.tables[out.rel]->GetOrBuildColumn(out.column));
         }
       }
       outputs.push_back(o);
@@ -1137,7 +1107,7 @@ class BlockExecutor {
       Operator* root_op = root.get();
       OpActual project;
       project.kind = opt::PhysicalPlan::Kind::kProject;
-      project.label = OpLabel(ctx_, *plan);
+      project.label = OpLabel(ctx_, *plan, nullptr);
       project.est_rows = plan->est_rows;
       project.est_cost = plan->est_cost;
       project.actual_rows = static_cast<int64_t>(result.rows.size());
@@ -1153,7 +1123,7 @@ class BlockExecutor {
         Operator* op = preorder[i];
         OpActual actual;
         actual.kind = op->node()->kind;
-        actual.label = OpLabel(ctx_, *op->node());
+        actual.label = OpLabel(ctx_, *op->node(), op->programs());
         actual.est_rows = op->node()->est_rows;
         actual.est_cost = op->node()->est_cost;
         actual.actual_rows = op->rows_produced();
@@ -1172,6 +1142,7 @@ class BlockExecutor {
 
  private:
   ExecContext ctx_;
+  std::optional<PreparedPrograms> own_prepared_;
 };
 
 StatusOr<xq::ResultSet> Executor::ExecuteBlock(

@@ -42,21 +42,18 @@ struct ExecStats {
 
 // Execution knobs.
 struct ExecOptions {
-  // Lanes pulled per operator Next() call. 1 degenerates to
-  // tuple-at-a-time; larger batches amortize per-call overhead.
+  // Lanes per column vector, the unit every operator Next() call
+  // exchanges. 1 degenerates to tuple-at-a-time (0 acts as 1); larger
+  // vectors amortize per-call overhead.
   size_t batch_size = 1024;
-  // Lanes per column vector exchanged between operators; 0 means "same as
-  // batch_size" (the engine exchanges exactly one vector per Next()).
-  size_t vector_size = 0;
   // Record a per-operator estimated-vs-actual profile for each executed
   // block (see ExecProfile). Off by default: profiles accumulate until
   // ResetProfile(), which loops calling ExecuteBlock would otherwise grow.
   bool collect_profile = false;
   // Prepared per-node bytecode templates and resolved column/index pointers
-  // for the plans about to execute (see engine/prepared.h). When set — and
-  // compiled against this executor's Database — operators skip Open-time
-  // predicate compilation and catalog resolution; otherwise it is ignored.
-  // Not owned; must outlive the execution.
+  // for the plans about to execute (see engine/prepared.h). When unset, or
+  // compiled against a different Database, each block prepares its own at
+  // the start of the run. Not owned; must outlive the execution.
   const PreparedPrograms* prepared = nullptr;
   // Absolute obs::NowNanos() deadline (0 = none). Checked once per
   // exchanged vector — including inside the scan operators' candidate
@@ -74,12 +71,6 @@ struct ExecOptions {
   // memory tables never spill). 0 = automatic: a quarter of the buffer
   // pool's capacity in bytes. SIZE_MAX disables spilling.
   size_t spill_build_bytes = 0;
-
-  // The lane count operators actually use.
-  size_t EffectiveVectorSize() const {
-    size_t n = vector_size != 0 ? vector_size : batch_size;
-    return n == 0 ? 1 : n;
-  }
 };
 
 // One plan operator's estimates next to what execution actually observed.
@@ -117,8 +108,10 @@ struct ExecProfile {
 // row-index column per base relation, no per-tuple allocation), filters and
 // residual join predicates run as compiled bytecode over the storage
 // layer's column vectors (see engine/expr_vm.h), only hash-join build sides
-// materialize, and all column vectors and constants are resolved once per
-// operator open (never per row). Rows materialize only at the final
+// materialize, and all programs, column vectors and indexes come prepared
+// (engine/prepared.h) — operators bind parameters at open and never resolve
+// anything per row. Profiled and unprofiled runs execute the same operator
+// tree. Rows materialize only at the final
 // projection boundary, so results stay bit-identical to ReferenceExecutor.
 //
 // One Executor serves one query stream on one thread; any number of

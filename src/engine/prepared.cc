@@ -30,18 +30,21 @@ Status PreparedPrograms::WalkPlan(const ExprEnv& env,
                                             p->right_join_column, "hash join"));
       LEGODB_ASSIGN_OR_RETURN(np.residuals,
                               CompileResiduals(env, p->residual_joins));
-      // Mirror the executor's shared-index build-side bypass so the index
-      // exists before the first execution needs it.
+      // The build-side bypass (see prepared.h): the build side is then
+      // neither prepared nor executed. A paged build side keeps its real
+      // scan and the page traffic it causes.
       const opt::PhysicalPlan* b = p->right.get();
       if (b && b->kind == opt::PhysicalPlan::Kind::kSeqScan &&
-          b->rel == p->right_join_rel && b->filters.empty()) {
+          b->rel == p->right_join_rel && b->filters.empty() &&
+          !env.tables[p->right_join_rel]->paged()) {
         LEGODB_ASSIGN_OR_RETURN(
             np.index, env.tables[p->right_join_rel]->GetOrBuildIndex(
                           p->right_join_column));
       }
+      const bool bypass = np.index != nullptr;
       by_node_.emplace(p.get(), std::move(np));
       LEGODB_RETURN_IF_ERROR(WalkPlan(env, p->left));
-      return WalkPlan(env, p->right);
+      return bypass ? Status::OK() : WalkPlan(env, p->right);
     }
     case opt::PhysicalPlan::Kind::kIndexNLJoin: {
       LEGODB_ASSIGN_OR_RETURN(
@@ -61,6 +64,25 @@ Status PreparedPrograms::WalkPlan(const ExprEnv& env,
   return Status::OK();
 }
 
+Status PreparedPrograms::AddBlock(const opt::QueryBlock& block,
+                                  const opt::PhysicalPlanPtr& plan) {
+  ExprEnv env;
+  for (const auto& rel : block.rels) {
+    store::StoredTable* table = db_->FindTable(rel.table);
+    if (!table) return Status::NotFound("table '" + rel.table + "'");
+    env.tables.push_back(table);
+    bool seen = false;
+    for (const auto& [t, version] : table_versions_) {
+      if (t == table) {
+        seen = true;
+        break;
+      }
+    }
+    if (!seen) table_versions_.emplace_back(table, table->mutation_count());
+  }
+  return WalkPlan(env, plan);
+}
+
 StatusOr<PreparedPrograms> PreparedPrograms::Compile(
     store::Database* db, const opt::RelQuery& query,
     const std::vector<opt::PhysicalPlanPtr>& block_plans) {
@@ -70,24 +92,17 @@ StatusOr<PreparedPrograms> PreparedPrograms::Compile(
   PreparedPrograms prepared;
   prepared.db_ = db;
   for (size_t i = 0; i < query.blocks.size(); ++i) {
-    ExprEnv env;
-    for (const auto& rel : query.blocks[i].rels) {
-      store::StoredTable* table = db->FindTable(rel.table);
-      if (!table) return Status::NotFound("table '" + rel.table + "'");
-      env.tables.push_back(table);
-      bool seen = false;
-      for (const auto& [t, version] : prepared.table_versions_) {
-        if (t == table) {
-          seen = true;
-          break;
-        }
-      }
-      if (!seen) {
-        prepared.table_versions_.emplace_back(table, table->mutation_count());
-      }
-    }
-    LEGODB_RETURN_IF_ERROR(prepared.WalkPlan(env, block_plans[i]));
+    LEGODB_RETURN_IF_ERROR(prepared.AddBlock(query.blocks[i], block_plans[i]));
   }
+  return prepared;
+}
+
+StatusOr<PreparedPrograms> PreparedPrograms::CompileBlock(
+    store::Database* db, const opt::QueryBlock& block,
+    const opt::PhysicalPlanPtr& plan) {
+  PreparedPrograms prepared;
+  prepared.db_ = db;
+  LEGODB_RETURN_IF_ERROR(prepared.AddBlock(block, plan));
   return prepared;
 }
 

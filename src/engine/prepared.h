@@ -1,25 +1,28 @@
 #ifndef LEGODB_ENGINE_PREPARED_H_
 #define LEGODB_ENGINE_PREPARED_H_
 
-// Prepared execution state for a cached physical plan.
+// Prepared execution state for physical plans.
 //
-// The executor normally compiles filter/residual bytecode and resolves
-// column vectors and hash indexes inside every operator Open(). For a plan
-// that will be executed many times (the serving layer's plan cache),
-// PreparedPrograms front-loads all of that once per plan: every scan/join
-// node gets a compiled *template* program (symbolic constants left as named
+// Every execution runs from a PreparedPrograms: each scan/join node gets a
+// compiled filter/residual *template* (symbolic constants left as named
 // parameter slots, see ExprProgram::BindParams) plus its resolved
-// ColumnVector/HashIndex pointers. Executions then copy the template, bind
-// that request's parameters, and run — no predicate compilation, no
-// catalog lookups, and no storage-registry mutex traffic on the hot path.
+// ColumnVector/HashIndex pointers, so operator Open() only copies templates
+// and binds parameters. A plan executed many times (the serving layer's
+// plan cache) is prepared once and passed in ExecOptions::prepared; any
+// other execution prepares its own block at the start of the run.
 //
-// A PreparedPrograms is immutable after Compile() and safe to share across
-// any number of concurrent executors (lookups are const; executors copy the
-// programs they use). It is keyed by plan-node identity, so it is only
-// meaningful for the exact plan trees it was compiled from — callers keep
-// the PhysicalPlanPtrs alive alongside it (the plan cache stores both in
-// one entry). The executor additionally ignores a prepared set whose
-// Database differs from its own.
+// Preparation alone decides the hash-join build-side bypass: a hash join
+// whose build side is an unfiltered SeqScan of the build relation on a
+// memory table gets that relation's shared index in NodePrograms::index,
+// and the executor probes it instead of running the build scan.
+//
+// A PreparedPrograms is immutable after compilation and safe to share
+// across any number of concurrent executors (lookups are const; executors
+// copy the programs they use). It is keyed by plan-node identity, so it is
+// only meaningful for the exact plan trees it was compiled from — callers
+// keep the PhysicalPlanPtrs alive alongside it (the plan cache stores both
+// in one entry). The executor prepares its own block instead when a given
+// set was compiled against a different Database.
 
 #include <map>
 #include <vector>
@@ -33,14 +36,16 @@ namespace legodb::engine {
 
 class PreparedPrograms {
  public:
-  // Everything one operator Open() would otherwise compile or resolve.
-  // Unused members stay empty/null for node kinds that don't need them.
+  // Everything one operator Open() needs; members a node kind does not use
+  // stay empty/null.
   struct NodePrograms {
     ExprProgram filter;     // parameterized filter template (scan kinds)
     ExprProgram residuals;  // residual join edges (join kinds; no params)
     const store::ColumnVector* left_key = nullptr;   // probe/outer join key
     const store::ColumnVector* right_key = nullptr;  // hash-join build key
-    const store::HashIndex* index = nullptr;  // lookup/NL-join/shared index
+    // Lookup / NL-join index; for a hash join, the build relation's shared
+    // index when the build side is bypassed (null = materialize it).
+    const store::HashIndex* index = nullptr;
   };
 
   // Compiles templates for every operator of every block plan. Resolving
@@ -50,8 +55,13 @@ class PreparedPrograms {
       store::Database* db, const opt::RelQuery& query,
       const std::vector<opt::PhysicalPlanPtr>& block_plans);
 
-  // The prepared state for `node`, or nullptr if the node is unknown (the
-  // executor then falls back to its normal Open-time compilation).
+  // The same for one planned block.
+  static StatusOr<PreparedPrograms> CompileBlock(
+      store::Database* db, const opt::QueryBlock& block,
+      const opt::PhysicalPlanPtr& plan);
+
+  // The prepared state for `node`, or nullptr if `node` is not part of the
+  // plans this set was compiled from.
   const NodePrograms* Find(const opt::PhysicalPlan* node) const {
     auto it = by_node_.find(node);
     return it == by_node_.end() ? nullptr : &it->second;
@@ -65,9 +75,10 @@ class PreparedPrograms {
   Status CheckFresh() const;
 
   store::Database* database() const { return db_; }
-  size_t num_nodes() const { return by_node_.size(); }
 
  private:
+  Status AddBlock(const opt::QueryBlock& block,
+                  const opt::PhysicalPlanPtr& plan);
   Status WalkPlan(const ExprEnv& env, const opt::PhysicalPlanPtr& p);
 
   store::Database* db_ = nullptr;

@@ -1,5 +1,6 @@
 #include "storage/database.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/check.h"
@@ -7,6 +8,13 @@
 namespace legodb::store {
 
 namespace {
+
+// Grows `v` to hold `n` elements, never by less than doubling, so that a
+// run of small reserves (one per shredded document) stays amortized.
+template <typename T>
+void ReserveAmortized(std::vector<T>* v, size_t n) {
+  if (n > v->capacity()) v->reserve(std::max(n, 2 * v->capacity()));
+}
 
 // --- Slotted pages -------------------------------------------------------
 //
@@ -219,6 +227,16 @@ Status StoredTable::Insert(Row row) {
   ++row_count_;
   Invalidate();
   return Status::OK();
+}
+
+void StoredTable::Reserve(size_t n) {
+  n += row_count_;
+  if (paged()) return ReserveAmortized(&locators_, n);
+  for (auto& column : columns_) {
+    ReserveAmortized(&column->values_, n);
+    ReserveAmortized(&column->nulls_, n);
+    if (column->typed_int()) ReserveAmortized(&column->ints_, n);
+  }
 }
 
 Status StoredTable::InsertPaged(const Row& row) {

@@ -176,6 +176,10 @@ class StoredTable {
   // when it does not fit) and can fail on real IO — memory inserts always
   // succeed.
   Status Insert(Row row);
+  // Makes room for `n` more rows, so the Inserts that follow do not
+  // regrow storage row by row: the column vectors on the memory backend,
+  // the row locators on the paged backend.
+  void Reserve(size_t n);
   // Removes the n most recently inserted rows (shredder rollback support).
   Status RemoveLastRows(size_t n);
 

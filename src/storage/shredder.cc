@@ -1,6 +1,7 @@
 #include "storage/shredder.h"
 
 #include <set>
+#include <unordered_map>
 
 #include "common/check.h"
 #include "common/failpoint.h"
@@ -32,17 +33,20 @@ class Shredder {
       return Status::InvalidArgument(
           "document does not match the physical schema");
     }
-    // Success: apply buffered inserts. On the paged backend an insert can
-    // fail with real IO errors — roll back the rows already applied (LIFO
-    // per table, which RemoveLastRows requires) so a failed document leaves
-    // the database exactly as it found it.
+    // Success: reserve each table's room once, then apply buffered
+    // inserts. On the paged backend an insert can fail with real IO errors
+    // — roll back the rows already applied (LIFO per table, which
+    // RemoveLastRows requires) so a failed document leaves the database
+    // exactly as it found it.
     obs::Count("shred.rows", static_cast<int64_t>(buffer_.size()));
+    std::unordered_map<StoredTable*, size_t> per_table;
+    for (const Pending& p : buffer_) ++per_table[p.table];
+    for (const auto& [table, rows] : per_table) table->Reserve(rows);
     for (size_t i = 0; i < buffer_.size(); ++i) {
-      Status st = db_->GetTable(buffer_[i].table).Insert(
-          std::move(buffer_[i].row));
+      Status st = buffer_[i].table->Insert(std::move(buffer_[i].row));
       if (!st.ok()) {
         for (size_t k = i; k-- > 0;) {
-          (void)db_->GetTable(buffer_[k].table).RemoveLastRows(1);
+          (void)buffer_[k].table->RemoveLastRows(1);
         }
         buffer_.clear();
         return st;
@@ -54,7 +58,7 @@ class Shredder {
 
  private:
   struct Pending {
-    std::string table;
+    StoredTable* table;
     Row row;
   };
 
@@ -278,7 +282,8 @@ class Shredder {
       }
       return false;
     }
-    const rel::Table& meta = db_->GetTable(tm->table).meta();
+    StoredTable* table = &db_->GetTable(tm->table);
+    const rel::Table& meta = table->meta();
     Row row(meta.columns.size(), Value::MakeNull());
     int64_t id = db_->NextId();
     int key_idx = meta.ColumnIndex(meta.key_column);
@@ -308,7 +313,7 @@ class Shredder {
       return false;
     }
     *pos = ctx.pos;
-    buffer_.push_back(Pending{tm->table, std::move(row)});
+    buffer_.push_back(Pending{table, std::move(row)});
     return true;
   }
 

@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "engine/executor.h"
+#include "engine/prepared.h"
 #include "engine/reference_executor.h"
 #include "imdb/imdb.h"
 #include "mapping/mapping.h"
@@ -186,9 +187,10 @@ TEST_F(ExecutorEquivalenceTest, BitIdenticalAcrossBatchSizes) {
 }
 
 TEST_F(ExecutorEquivalenceTest, BitIdenticalWithProfilingEnabled) {
-  // collect_profile forces the materializing hash-join path and per-op
-  // timing; results must not change, and the profile must cover every
-  // operator with sane actuals.
+  // collect_profile adds per-op timing around the same operator path that
+  // unprofiled runs execute (shared-index hash joins included); results
+  // must not change, and the profile must cover every operator with sane
+  // actuals.
   auto db = FreshDatabase();
   std::vector<xq::ResultSet> expected = ReferenceResults(db.get());
   engine::ExecOptions options;
@@ -210,6 +212,59 @@ TEST_F(ExecutorEquivalenceTest, BitIdenticalWithProfilingEnabled) {
     }
     EXPECT_EQ(projected, static_cast<int64_t>(actual->rows.size()))
         << p.name;
+  }
+}
+
+// Every execution runs prepared programs: a caller's externally compiled
+// PreparedPrograms (the serving path) and the set a block prepares for
+// itself must give the same rows on both backends, and — on the memory
+// backend, whose IO charges are modeled — the same ExecStats, profiled or
+// not.
+TEST_F(ExecutorEquivalenceTest, ExternallyPreparedMatchesSelfPrepared) {
+  auto expect_same_stats = [](const engine::ExecStats& a,
+                              const engine::ExecStats& b,
+                              const std::string& context) {
+    EXPECT_EQ(a.tuples_processed, b.tuples_processed) << context;
+    EXPECT_EQ(a.bytes_read, b.bytes_read) << context;
+    EXPECT_EQ(a.seeks, b.seeks) << context;
+    EXPECT_EQ(a.rows_out, b.rows_out) << context;
+    EXPECT_EQ(a.bytes_out, b.bytes_out) << context;
+    EXPECT_EQ(a.bytes_spilled, b.bytes_spilled) << context;
+  };
+  auto mem_db = FreshDatabase();
+  auto disk_db = FreshDiskDatabase();
+  std::vector<xq::ResultSet> expected = ReferenceResults(mem_db.get());
+  for (store::Database* db : {mem_db.get(), disk_db.get()}) {
+    const std::string backend = db->paged() ? " on disk" : " in memory";
+    for (size_t i = 0; i < prepared_->size(); ++i) {
+      const PreparedQuery& p = (*prepared_)[i];
+      auto programs = engine::PreparedPrograms::Compile(db, p.rq, p.plans);
+      ASSERT_TRUE(programs.ok()) << p.name << ": "
+                                 << programs.status().ToString();
+      engine::ExecOptions external;
+      external.prepared = &*programs;
+      engine::ExecOptions profiled;
+      profiled.collect_profile = true;
+
+      engine::Executor self_exec(db, Params());
+      engine::Executor external_exec(db, Params(), external);
+      engine::Executor profiled_exec(db, Params(), profiled);
+      auto self = self_exec.ExecuteQuery(p.rq, p.plans);
+      auto ext = external_exec.ExecuteQuery(p.rq, p.plans);
+      auto prof = profiled_exec.ExecuteQuery(p.rq, p.plans);
+      ASSERT_TRUE(self.ok() && ext.ok() && prof.ok()) << p.name << backend;
+      ExpectIdentical(expected[i], self.value(), p.name + backend);
+      ExpectIdentical(expected[i], ext.value(),
+                      p.name + backend + " externally prepared");
+      ExpectIdentical(expected[i], prof.value(),
+                      p.name + backend + " profiled");
+      if (!db->paged()) {
+        expect_same_stats(self_exec.stats(), external_exec.stats(),
+                          p.name + " externally prepared");
+        expect_same_stats(self_exec.stats(), profiled_exec.stats(),
+                          p.name + " profiled");
+      }
+    }
   }
 }
 

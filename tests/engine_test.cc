@@ -5,6 +5,7 @@
 
 #include "engine/executor.h"
 #include "engine/explain_analyze.h"
+#include "engine/prepared.h"
 #include "engine/reference_executor.h"
 #include "obs/obs.h"
 #include "mapping/mapping.h"
@@ -374,6 +375,70 @@ TEST_F(EngineTest, OuterJoinStillEmitsMatchesThatPassResiduals) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->rows.size(), 3u);
   for (const auto& row : r->rows) EXPECT_FALSE(row[0].is_null());
+}
+
+// A hash join whose build side is a bare scan of a memory table probes the
+// table's shared index instead of running the scan. Profiling must observe
+// that same path: identical rows and stats, no build-scan operator in the
+// profile, and the join marked as probing the shared index.
+TEST_F(EngineTest, ProfiledHashJoinRunsTheSharedIndexPath) {
+  opt::QueryBlock b = JoinBlock(false);
+  opt::PhysicalPlanPtr plan = HashJoinPlan(false, {});
+
+  Executor plain(db_.get());
+  auto unprofiled = plain.ExecuteBlock(b, plan);
+  ASSERT_TRUE(unprofiled.ok()) << unprofiled.status().ToString();
+
+  ExecOptions options;
+  options.collect_profile = true;
+  Executor timed(db_.get(), {}, options);
+  auto profiled = timed.ExecuteBlock(b, plan);
+  ASSERT_TRUE(profiled.ok()) << profiled.status().ToString();
+
+  EXPECT_EQ(unprofiled->rows, profiled->rows);
+  EXPECT_EQ(unprofiled->rows.size(), 3u);
+  const ExecStats& a = plain.stats();
+  const ExecStats& p = timed.stats();
+  EXPECT_EQ(a.tuples_processed, p.tuples_processed);
+  EXPECT_EQ(a.bytes_read, p.bytes_read);
+  EXPECT_EQ(a.seeks, p.seeks);
+  EXPECT_EQ(a.rows_out, p.rows_out);
+  EXPECT_EQ(a.bytes_out, p.bytes_out);
+  EXPECT_EQ(a.bytes_spilled, p.bytes_spilled);
+
+  // Project, the join, and the probe scan: the build scan never ran.
+  const ExecProfile& profile = timed.profile();
+  ASSERT_EQ(profile.ops.size(), 3u);
+  EXPECT_EQ(profile.ops[1].kind, PhysicalPlan::Kind::kHashJoin);
+  EXPECT_NE(profile.ops[1].label.find("shared index"), std::string::npos)
+      << profile.ops[1].label;
+  for (const OpActual& op : profile.ops) {
+    EXPECT_NE(op.label, "SeqScan(c)") << "build scan in the profile";
+  }
+  EXPECT_EQ(profile.ops[2].label, "SeqScan(p)");
+  // The join's inclusive seeks still carry the build side's modeled charge.
+  EXPECT_EQ(profile.ops[1].seeks, p.seeks);
+}
+
+// A caller's prepared set is the only source of programs for the plans it
+// was compiled from; a plan node it does not know is an internal error, not
+// a reason to compile on the fly.
+TEST_F(EngineTest, PreparedSetWithoutThePlanNodeIsInternal) {
+  opt::QueryBlock b = ChildBlock();
+  opt::PhysicalPlanPtr compiled = ScanProjectPlan(0, {});
+  opt::PhysicalPlanPtr other = ScanProjectPlan(0, {});
+  auto prepared = PreparedPrograms::CompileBlock(db_.get(), b, compiled);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  ExecOptions options;
+  options.prepared = &*prepared;
+  Executor exec(db_.get(), {}, options);
+  EXPECT_TRUE(exec.ExecuteBlock(b, compiled).ok());
+  auto r = exec.ExecuteBlock(b, other);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), Status::Code::kInternal);
+  EXPECT_NE(r.status().message().find("no prepared programs"),
+            std::string::npos)
+      << r.status().ToString();
 }
 
 TEST_F(EngineTest, ExplainAnalyzeRendersProfiledExecution) {

@@ -1,8 +1,8 @@
 // Unit tests for the compiled-predicate bytecode (engine/expr_vm.h):
 // comparison semantics against columnar storage shadows, NULL and
-// unbound-lane handling, compile-time diagnostics (unknown columns,
-// out-of-range relations, unbound parameters), builder-level And/Or
-// programs, stack validation, and bytecode determinism.
+// unbound-lane handling, diagnostics (unknown columns and out-of-range
+// relations at compile time, unbound parameters at bind time), builder-level
+// And/Or programs, stack validation, and bytecode determinism.
 #include "engine/expr_vm.h"
 
 #include <gtest/gtest.h>
@@ -68,10 +68,21 @@ class ExprVmTest : public ::testing::Test {
     env_.tables = {&t_, &u_};
   }
 
+  // Compiles `filters` against relation 0 as a template and binds
+  // `params`, the way every execution prepares its scan filters.
+  StatusOr<ExprProgram> CompileBound(
+      const std::vector<opt::FilterPred>& filters,
+      const std::map<std::string, Value>& params = {}) {
+    LEGODB_ASSIGN_OR_RETURN(ExprProgram program,
+                            CompileFilterTemplate(env_, 0, filters));
+    LEGODB_RETURN_IF_ERROR(program.BindParams(params));
+    return program;
+  }
+
   // Compiles `filters` against relation 0 and evaluates over all rows of T.
   std::vector<uint8_t> EvalT(const std::vector<opt::FilterPred>& filters,
                              const std::map<std::string, Value>& params = {}) {
-    auto program = CompileFilters(env_, 0, filters, params);
+    auto program = CompileBound(filters, params);
     EXPECT_TRUE(program.ok()) << program.status().ToString();
     std::vector<int32_t> rows(t_.row_count());
     for (size_t i = 0; i < rows.size(); ++i) rows[i] = static_cast<int32_t>(i);
@@ -133,7 +144,7 @@ TEST_F(ExprVmTest, FiltersForOtherRelationsAreSkipped) {
   // which selects every lane.
   opt::FilterPred other = IntFilter("y", xq::CompareOp::kEq, 10);
   other.rel = 1;
-  auto program = CompileFilters(env_, 0, {other}, {});
+  auto program = CompileBound({other});
   ASSERT_TRUE(program.ok()) << program.status().ToString();
   EXPECT_TRUE(program.value().empty());
   EXPECT_EQ(program.value().Disassemble(), "(empty)");
@@ -142,14 +153,13 @@ TEST_F(ExprVmTest, FiltersForOtherRelationsAreSkipped) {
 
 TEST_F(ExprVmTest, UnboundLaneEvaluatesToNull) {
   // Row index -1 (outer-join miss) fails comparisons and NOT NULL alike.
-  auto eq = CompileFilters(env_, 0, {IntFilter("x", xq::CompareOp::kEq, 10)},
-                           {});
+  auto eq = CompileBound({IntFilter("x", xq::CompareOp::kEq, 10)});
   ASSERT_TRUE(eq.ok());
   opt::FilterPred nn;
   nn.rel = 0;
   nn.column = "x";
   nn.not_null = true;
-  auto notnull = CompileFilters(env_, 0, {nn}, {});
+  auto notnull = CompileBound({nn});
   ASSERT_TRUE(notnull.ok());
   const int32_t rows[] = {0, -1};
   uint8_t mask[2] = {0xee, 0xee};
@@ -162,8 +172,7 @@ TEST_F(ExprVmTest, UnboundLaneEvaluatesToNull) {
 }
 
 TEST_F(ExprVmTest, UnknownColumnFailsAtCompileTime) {
-  auto program =
-      CompileFilters(env_, 0, {IntFilter("bogus", xq::CompareOp::kEq, 1)}, {});
+  auto program = CompileBound({IntFilter("bogus", xq::CompareOp::kEq, 1)});
   ASSERT_FALSE(program.ok());
   EXPECT_NE(program.status().message().find(
                 "filter references unknown column 'T.bogus' "
@@ -186,13 +195,13 @@ TEST_F(ExprVmTest, OutOfRangeRelationFailsAtCompileTime) {
       << program.status().ToString();
 }
 
-TEST_F(ExprVmTest, UnboundParameterFailsAtCompileTime) {
+TEST_F(ExprVmTest, UnboundParameterFailsAtBindTime) {
   opt::FilterPred f;
   f.rel = 0;
   f.column = "x";
   f.op = xq::CompareOp::kEq;
   f.value = xq::Constant::Symbol("c9");
-  auto program = CompileFilters(env_, 0, {f}, {});
+  auto program = CompileBound({f});
   ASSERT_FALSE(program.ok());
   EXPECT_NE(program.status().message().find("unbound query parameter 'c9'"),
             std::string::npos)
@@ -271,8 +280,8 @@ TEST_F(ExprVmTest, BytecodeIsDeterministic) {
   nn.column = "s";
   nn.not_null = true;
   filters.push_back(nn);
-  auto a = CompileFilters(env_, 0, filters, {});
-  auto b = CompileFilters(env_, 0, filters, {});
+  auto a = CompileBound(filters);
+  auto b = CompileBound(filters);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a.value().Disassemble(), b.value().Disassemble());
   // (load,const,cmp) + (load,const,cmp,and) + (load,test_not_null,and).
