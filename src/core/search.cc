@@ -197,9 +197,6 @@ StatusOr<SearchResult> GreedySearch(const xs::Schema& annotated_schema,
     case SearchOptions::Start::kAllOutlined:
       initial = ps::AllOutlined(annotated_schema);
       break;
-    case SearchOptions::Start::kAsIs:
-      initial = ps::Normalize(annotated_schema);
-      break;
   }
 
   SearchResult result;

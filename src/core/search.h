@@ -19,7 +19,6 @@ struct SearchOptions {
   enum class Start {
     kAllInlined,   // greedy-si start: everything inlined except collections
     kAllOutlined,  // greedy-so start: everything outlined except base types
-    kAsIs,         // normalize the input schema and start from it
   };
   Start start = Start::kAllInlined;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -200,10 +199,15 @@ class Operator {
   double millis() const { return static_cast<double>(ns_) / 1e6; }
 
  protected:
-  double RowWidth(int rel) const {
-    return ctx_->tables[rel]->meta().RowWidth();
-  }
+  StoredTable* table(int rel) const { return ctx_->tables[rel]; }
   ExecStats& stats() const { return *ctx_->stats; }
+  // Adds the price storage put on a table access (see store::TableIo).
+  Status Charge(const StatusOr<store::TableIo>& io) {
+    if (!io.ok()) return io.status();
+    stats().seeks += io->seeks;
+    stats().bytes_read += io->bytes;
+    return Status::OK();
+  }
   void CountInput(size_t lanes) {
     rows_in_ += static_cast<int64_t>(lanes);
   }
@@ -265,21 +269,18 @@ class SeqScanOp : public Operator {
 
   Status Open() override {
     LEGODB_RETURN_IF_ERROR(filter_.Bind(*ctx_, node_, *prog_));
-    width_ = RowWidth(node_->rel);
-    paged_ = ctx_->tables[node_->rel]->paged();
-    // The memory backend keeps the modeled per-scan charge (one seek plus
-    // width bytes per row below) so its stats — and every golden built on
-    // them — are unchanged; the paged backend instead charges the page
-    // traffic its reads actually cause (pool faults, below).
-    if (!paged_) stats().seeks += 1;
     pos_ = 0;
-    return Status::OK();
+    // Next() prices each vector it reads; a scan of an empty table reads
+    // none, so price its positioning here.
+    StoredTable* t = table(node_->rel);
+    return t->row_count() == 0 ? Charge(t->FetchRowRange(0, 0))
+                               : Status::OK();
   }
 
   Status Next(ColumnBatch* out) override {
     out->Clear();
-    StoredTable* table = ctx_->tables[node_->rel];
-    size_t total = table->row_count();
+    StoredTable* t = table(node_->rel);
+    size_t total = t->row_count();
     std::vector<int32_t>& col = out->rels[node_->rel];
     // An empty batch signals end of stream, so keep scanning candidate
     // vectors until at least one row survives or the table is exhausted.
@@ -288,12 +289,7 @@ class SeqScanOp : public Operator {
     while (col.empty() && pos_ < total) {
       LEGODB_RETURN_IF_ERROR(ctx_->CheckInterrupt());
       size_t take = std::min(ctx_->lanes, total - pos_);
-      if (paged_) {
-        LEGODB_ASSIGN_OR_RETURN(store::TableIo io,
-                                table->FetchRowRange(pos_, pos_ + take));
-        stats().seeks += io.seeks;
-        stats().bytes_read += io.bytes;
-      }
+      LEGODB_RETURN_IF_ERROR(Charge(t->FetchRowRange(pos_, pos_ + take)));
       if (filter_.empty()) {
         col.resize(take);
         std::iota(col.begin(), col.end(), static_cast<int32_t>(pos_));
@@ -305,7 +301,6 @@ class SeqScanOp : public Operator {
       pos_ += take;
       CountInput(take);
       stats().tuples_processed += static_cast<double>(take);
-      if (!paged_) stats().bytes_read += static_cast<double>(take) * width_;
     }
     out->lanes = col.size();
     return Status::OK();
@@ -314,9 +309,7 @@ class SeqScanOp : public Operator {
  private:
   ScanFilter filter_;
   std::vector<int32_t> cand_;
-  double width_ = 0;
   size_t pos_ = 0;
-  bool paged_ = false;
 };
 
 class IndexLookupOp : public Operator {
@@ -339,11 +332,8 @@ class IndexLookupOp : public Operator {
     LEGODB_ASSIGN_OR_RETURN(Value key,
                             ResolveConstant(*ctx_->params, driver->value));
     hits_ = &prog_->index->Find(key);
-    width_ = RowWidth(node_->rel);
-    paged_ = ctx_->tables[node_->rel]->paged();
-    if (!paged_) stats().seeks += 1;  // modeled charge; see SeqScanOp::Open
     pos_ = 0;
-    return Status::OK();
+    return Charge(table(node_->rel)->ProbeIndex(1));
   }
 
   Status Next(ColumnBatch* out) override {
@@ -360,13 +350,8 @@ class IndexLookupOp : public Operator {
         cand_[i] = static_cast<int32_t>((*hits_)[pos_ + i]);
       }
       pos_ += take;
-      if (paged_) {
-        LEGODB_ASSIGN_OR_RETURN(
-            store::TableIo io,
-            ctx_->tables[node_->rel]->FetchRows(cand_.data(), take));
-        stats().seeks += io.seeks;
-        stats().bytes_read += io.bytes;
-      }
+      LEGODB_RETURN_IF_ERROR(
+          Charge(table(node_->rel)->FetchRows(cand_.data(), take)));
       if (filter_.empty()) {
         col.assign(cand_.begin(), cand_.end());
       } else {
@@ -374,10 +359,6 @@ class IndexLookupOp : public Operator {
       }
       CountInput(take);
       stats().tuples_processed += static_cast<double>(take);
-      if (!paged_) {
-        stats().seeks += static_cast<double>(take);
-        stats().bytes_read += static_cast<double>(take) * width_;
-      }
     }
     out->lanes = col.size();
     return Status::OK();
@@ -387,9 +368,7 @@ class IndexLookupOp : public Operator {
   ScanFilter filter_;
   std::vector<int32_t> cand_;
   const std::vector<size_t>* hits_ = nullptr;
-  double width_ = 0;
   size_t pos_ = 0;
-  bool paged_ = false;
 };
 
 // Match-candidate plumbing shared by the two join operators: candidates are
@@ -532,10 +511,10 @@ class SpilledBuild {
 // to the materializing reference executor at any batch size.
 //
 // When preparation gave the join a shared index (the build side is a bare
-// scan of a memory table, see engine/prepared.h), there is no build
+// scan of the build table, see engine/prepared.h), there is no build
 // operator: the join probes the table's pre-built hash index instead (same
-// row order, so same output), profiled or not, and charges what the
-// materializing path would have.
+// row order, so same output), profiled or not, and charges the build scan
+// it skipped through the same range read a scan would price.
 class HashJoinOp : public Operator {
  public:
   // `build` is null when the join probes the shared index.
@@ -562,12 +541,10 @@ class HashJoinOp : public Operator {
       shared_index_ = prog_->index;
       build_bound_[build_rel] = 1;
       // Charge what the materializing path would have: the build-side scan
-      // (one seek, every row read) plus the join's build-input tuples.
-      double n = static_cast<double>(ctx_->tables[build_rel]->row_count());
-      stats().seeks += 1;
-      stats().tuples_processed += 2 * n;
-      stats().bytes_read += n * RowWidth(build_rel);
-      return Status::OK();
+      // plus the join's build-input tuples.
+      const size_t n = table(build_rel)->row_count();
+      stats().tuples_processed += 2 * static_cast<double>(n);
+      return Charge(table(build_rel)->FetchRowRange(0, n));
     }
 
     // Drain and materialize the build side columnar, then key it by join
@@ -604,27 +581,19 @@ class HashJoinOp : public Operator {
     }
     stats().tuples_processed += static_cast<double>(count);
 
-    // Spill oversized build sides to temp pages (paged backend only): the
-    // hash table itself (ordinals) stays in memory, but the per-relation
-    // row-index vectors — the bulk of the materialization — move to disk.
-    store::Pager* pager = ctx_->tables[build_rel]->pager();
-    if (pager != nullptr) {
-      size_t threshold = ctx_->e->options().spill_build_bytes;
-      if (threshold == 0) {
-        threshold = ctx_->tables[build_rel]->pool()->capacity() *
-                    pager->page_size() / 4;
-      }
-      size_t build_bytes = 0;
-      for (const auto& c : build_cols_) build_bytes += c.size() * sizeof(int32_t);
-      if (threshold != std::numeric_limits<size_t>::max() &&
-          build_bytes > threshold) {
-        LEGODB_ASSIGN_OR_RETURN(
-            spill_, SpilledBuild::Create(pager, ctx_->stats, build_cols_,
-                                         build_bound_));
-        obs::Count("exec.hash_join.spills");
-        build_cols_.clear();
-        build_cols_.shrink_to_fit();
-      }
+    // Spill oversized build sides to temp pages, when storage says to (see
+    // StoredTable::SpillPager): the hash table itself (ordinals) stays in
+    // memory, but the per-relation row-index vectors — the bulk of the
+    // materialization — move to disk.
+    size_t build_bytes = 0;
+    for (const auto& c : build_cols_) build_bytes += c.size() * sizeof(int32_t);
+    if (store::Pager* pager = table(build_rel)->SpillPager(build_bytes)) {
+      LEGODB_ASSIGN_OR_RETURN(
+          spill_, SpilledBuild::Create(pager, ctx_->stats, build_cols_,
+                                       build_bound_));
+      obs::Count("exec.hash_join.spills");
+      build_cols_.clear();
+      build_cols_.shrink_to_fit();
     }
     return Status::OK();
   }
@@ -777,8 +746,6 @@ class IndexNLJoinOp : public Operator {
     outer_key_ = prog_->left_key;
     index_ = prog_->index;
     residuals_ = prog_->residuals;
-    width_ = RowWidth(node_->rel);
-    paged_ = ctx_->tables[node_->rel]->paged();
     in_.Init(ctx_->nrels());
     gather_.resize(ctx_->nrels());
     relptrs_.assign(ctx_->nrels(), nullptr);
@@ -796,30 +763,20 @@ class IndexNLJoinOp : public Operator {
 
       cand_.Reset(in_.lanes);
       const std::vector<int32_t>& orow = in_.rels[outer_rel];
-      // Memory tables keep the modeled per-probe charges; paged tables are
-      // charged the page traffic the matched rows actually cause (below).
-      if (!paged_) stats().seeks += static_cast<double>(in_.lanes);
+      // One index probe per outer lane, then a fetch of every row found.
+      LEGODB_RETURN_IF_ERROR(Charge(table(inner_rel)->ProbeIndex(in_.lanes)));
       for (size_t l = 0; l < in_.lanes; ++l) {
         int32_t r = orow.empty() ? kUnboundRow : orow[l];
         if (r >= 0 && !outer_key_->is_null(r)) {
-          const std::vector<size_t>& hits = index_->Find(outer_key_->value(r));
-          stats().tuples_processed += static_cast<double>(hits.size());
-          if (!paged_) {
-            stats().seeks += static_cast<double>(hits.size());
-            stats().bytes_read += static_cast<double>(hits.size()) * width_;
+          for (size_t idx : index_->Find(outer_key_->value(r))) {
+            cand_.Add(l, static_cast<int32_t>(idx));
           }
-          for (size_t idx : hits) cand_.Add(l, static_cast<int32_t>(idx));
         }
         cand_.CloseGroup(l);
       }
-      if (paged_ && !cand_.ord.empty()) {
-        LEGODB_ASSIGN_OR_RETURN(
-            store::TableIo io,
-            ctx_->tables[inner_rel]->FetchRows(cand_.ord.data(),
-                                               cand_.ord.size()));
-        stats().seeks += io.seeks;
-        stats().bytes_read += io.bytes;
-      }
+      stats().tuples_processed += static_cast<double>(cand_.ord.size());
+      LEGODB_RETURN_IF_ERROR(Charge(
+          table(inner_rel)->FetchRows(cand_.ord.data(), cand_.ord.size())));
 
       // Combined selection: inner residual filters AND residual join edges,
       // both over the candidate lanes.
@@ -874,8 +831,6 @@ class IndexNLJoinOp : public Operator {
   ExprProgram residuals_;
   const ColumnVector* outer_key_ = nullptr;
   const HashIndex* index_ = nullptr;
-  double width_ = 0;
-  bool paged_ = false;
   ColumnBatch in_;
   JoinCandidates cand_;
   std::vector<std::vector<int32_t>> gather_;
@@ -1012,12 +967,14 @@ class BlockExecutor {
     }
     // A caller's prepared plan carries column/index pointers into table
     // registries that any mutation invalidates; refuse to chase them once
-    // stale. Without one, this block prepares its own programs.
+    // stale. Without one, this block prepares its own programs over the
+    // tables just resolved.
     if (ctx_.prepared != nullptr) {
       LEGODB_RETURN_IF_ERROR(ctx_.prepared->CheckFresh());
     } else {
       LEGODB_ASSIGN_OR_RETURN(
-          own_prepared_, PreparedPrograms::CompileBlock(e->db_, block, plan));
+          own_prepared_,
+          PreparedPrograms::CompileBlock(e->db_, plan, ctx_.tables));
       ctx_.prepared = &*own_prepared_;
     }
 

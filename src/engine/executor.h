@@ -66,11 +66,6 @@ struct ExecOptions {
   // vector boundary with Status::Cancelled. Not owned; must outlive the
   // execution.
   const common::CancelToken* cancel = nullptr;
-  // Hash-join build sides larger than this many bytes spill their
-  // materialized row-index vectors to temp pages (paged backend only;
-  // memory tables never spill). 0 = automatic: a quarter of the buffer
-  // pool's capacity in bytes. SIZE_MAX disables spilling.
-  size_t spill_build_bytes = 0;
 };
 
 // One plan operator's estimates next to what execution actually observed.

@@ -1,5 +1,8 @@
 #include "engine/prepared.h"
 
+#include <algorithm>
+#include <functional>
+
 namespace legodb::engine {
 
 Status PreparedPrograms::WalkPlan(const ExprEnv& env,
@@ -31,18 +34,16 @@ Status PreparedPrograms::WalkPlan(const ExprEnv& env,
       LEGODB_ASSIGN_OR_RETURN(np.residuals,
                               CompileResiduals(env, p->residual_joins));
       // The build-side bypass (see prepared.h): the build side is then
-      // neither prepared nor executed. A paged build side keeps its real
-      // scan and the page traffic it causes.
+      // neither prepared nor executed.
       const opt::PhysicalPlan* b = p->right.get();
       if (b && b->kind == opt::PhysicalPlan::Kind::kSeqScan &&
-          b->rel == p->right_join_rel && b->filters.empty() &&
-          !env.tables[p->right_join_rel]->paged()) {
+          b->rel == p->right_join_rel && b->filters.empty()) {
         LEGODB_ASSIGN_OR_RETURN(
             np.index, env.tables[p->right_join_rel]->GetOrBuildIndex(
                           p->right_join_column));
       }
       const bool bypass = np.index != nullptr;
-      by_node_.emplace(p.get(), std::move(np));
+      nodes_.emplace_back(p.get(), std::move(np));
       LEGODB_RETURN_IF_ERROR(WalkPlan(env, p->left));
       return bypass ? Status::OK() : WalkPlan(env, p->right);
     }
@@ -56,11 +57,11 @@ Status PreparedPrograms::WalkPlan(const ExprEnv& env,
           np.index, env.tables[p->rel]->GetOrBuildIndex(p->index_column));
       LEGODB_ASSIGN_OR_RETURN(np.residuals,
                               CompileResiduals(env, p->residual_joins));
-      by_node_.emplace(p.get(), std::move(np));
+      nodes_.emplace_back(p.get(), std::move(np));
       return WalkPlan(env, p->left);
     }
   }
-  by_node_.emplace(p.get(), std::move(np));
+  nodes_.emplace_back(p.get(), std::move(np));
   return Status::OK();
 }
 
@@ -83,6 +84,21 @@ Status PreparedPrograms::AddBlock(const opt::QueryBlock& block,
   return WalkPlan(env, plan);
 }
 
+void PreparedPrograms::SortNodes() {
+  std::sort(nodes_.begin(), nodes_.end(), [](const auto& a, const auto& b) {
+    return std::less<const opt::PhysicalPlan*>()(a.first, b.first);
+  });
+}
+
+const PreparedPrograms::NodePrograms* PreparedPrograms::Find(
+    const opt::PhysicalPlan* node) const {
+  auto it = std::lower_bound(
+      nodes_.begin(), nodes_.end(), node, [](const auto& entry, auto* key) {
+        return std::less<const opt::PhysicalPlan*>()(entry.first, key);
+      });
+  return it != nodes_.end() && it->first == node ? &it->second : nullptr;
+}
+
 StatusOr<PreparedPrograms> PreparedPrograms::Compile(
     store::Database* db, const opt::RelQuery& query,
     const std::vector<opt::PhysicalPlanPtr>& block_plans) {
@@ -94,15 +110,19 @@ StatusOr<PreparedPrograms> PreparedPrograms::Compile(
   for (size_t i = 0; i < query.blocks.size(); ++i) {
     LEGODB_RETURN_IF_ERROR(prepared.AddBlock(query.blocks[i], block_plans[i]));
   }
+  prepared.SortNodes();
   return prepared;
 }
 
 StatusOr<PreparedPrograms> PreparedPrograms::CompileBlock(
-    store::Database* db, const opt::QueryBlock& block,
-    const opt::PhysicalPlanPtr& plan) {
+    store::Database* db, const opt::PhysicalPlanPtr& plan,
+    std::vector<store::StoredTable*> tables) {
   PreparedPrograms prepared;
   prepared.db_ = db;
-  LEGODB_RETURN_IF_ERROR(prepared.AddBlock(block, plan));
+  ExprEnv env;
+  env.tables = std::move(tables);
+  LEGODB_RETURN_IF_ERROR(prepared.WalkPlan(env, plan));
+  prepared.SortNodes();
   return prepared;
 }
 

@@ -12,8 +12,8 @@
 // other execution prepares its own block at the start of the run.
 //
 // Preparation alone decides the hash-join build-side bypass: a hash join
-// whose build side is an unfiltered SeqScan of the build relation on a
-// memory table gets that relation's shared index in NodePrograms::index,
+// whose build side is an unfiltered SeqScan of the build relation, on
+// either backend, gets that relation's shared index in NodePrograms::index,
 // and the executor probes it instead of running the build scan.
 //
 // A PreparedPrograms is immutable after compilation and safe to share
@@ -24,7 +24,7 @@
 // in one entry). The executor prepares its own block instead when a given
 // set was compiled against a different Database.
 
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -55,17 +55,17 @@ class PreparedPrograms {
       store::Database* db, const opt::RelQuery& query,
       const std::vector<opt::PhysicalPlanPtr>& block_plans);
 
-  // The same for one planned block.
+  // The same for one block plan whose tables the caller has already
+  // resolved (`tables[i]` holds block relation i), for use within one
+  // execution: tables are not mutated while queries run, so this set
+  // records no table versions and CheckFresh() always passes.
   static StatusOr<PreparedPrograms> CompileBlock(
-      store::Database* db, const opt::QueryBlock& block,
-      const opt::PhysicalPlanPtr& plan);
+      store::Database* db, const opt::PhysicalPlanPtr& plan,
+      std::vector<store::StoredTable*> tables);
 
   // The prepared state for `node`, or nullptr if `node` is not part of the
   // plans this set was compiled from.
-  const NodePrograms* Find(const opt::PhysicalPlan* node) const {
-    auto it = by_node_.find(node);
-    return it == by_node_.end() ? nullptr : &it->second;
-  }
+  const NodePrograms* Find(const opt::PhysicalPlan* node) const;
 
   // OK while every table this plan touches still has the mutation count it
   // had at Compile() time; Internal (naming the table) once any of them has
@@ -80,9 +80,11 @@ class PreparedPrograms {
   Status AddBlock(const opt::QueryBlock& block,
                   const opt::PhysicalPlanPtr& plan);
   Status WalkPlan(const ExprEnv& env, const opt::PhysicalPlanPtr& p);
+  void SortNodes();
 
   store::Database* db_ = nullptr;
-  std::map<const opt::PhysicalPlan*, NodePrograms> by_node_;
+  // (plan node, its programs), sorted by node address once compiled.
+  std::vector<std::pair<const opt::PhysicalPlan*, NodePrograms>> nodes_;
   // (table, mutation count at compile time), deduplicated per table.
   std::vector<std::pair<const store::StoredTable*, uint64_t>> table_versions_;
 };

@@ -240,7 +240,7 @@ void StoredTable::Reserve(size_t n) {
 }
 
 Status StoredTable::InsertPaged(const Row& row) {
-  BufferPool* bp = pool();
+  BufferPool* bp = pool_;
   Pager* pg = pager();
   const size_t page_size = pg->page_size();
   const size_t len = SerializedSize(row);
@@ -307,7 +307,7 @@ Status StoredTable::RemoveLastRows(size_t n) {
 }
 
 Status StoredTable::RemoveLastRowsPaged(size_t n) {
-  BufferPool* bp = pool();
+  BufferPool* bp = pool_;
   for (size_t k = 0; k < n; ++k) {
     RowLocator loc = locators_.back();
     LEGODB_ASSIGN_OR_RETURN(BufferPool::PageGuard guard, bp->Pin(loc.page));
@@ -346,7 +346,7 @@ StatusOr<Row> StoredTable::ReadRow(size_t i) const {
 
 StatusOr<Row> StoredTable::ReadRowPaged(size_t i) const {
   const RowLocator loc = locators_[i];
-  LEGODB_ASSIGN_OR_RETURN(BufferPool::PageGuard guard, pool()->Pin(loc.page));
+  LEGODB_ASSIGN_OR_RETURN(BufferPool::PageGuard guard, pool_->Pin(loc.page));
   uint16_t off = 0;
   uint16_t len = 0;
   LEGODB_RETURN_IF_ERROR(
@@ -358,52 +358,49 @@ StatusOr<Row> StoredTable::ReadRowPaged(size_t i) const {
 }
 
 StatusOr<TableIo> StoredTable::FetchRowRange(size_t begin, size_t end) const {
-  TableIo io;
-  if (!paged()) return io;
-  BufferPool* bp = pool();
-  const double page_bytes = static_cast<double>(pager()->page_size());
-  uint32_t last_page = 0;
-  bool have_last = false;
-  BufferPool::PageGuard guard;  // keeps the current page pinned
-  for (size_t i = begin; i < end && i < locators_.size(); ++i) {
-    const uint32_t page = locators_[i].page;
-    if (have_last && page == last_page) continue;
-    guard.Release();  // before pinning the next page: a 1-frame pool must work
-    LEGODB_ASSIGN_OR_RETURN(guard, bp->Pin(page));
-    if (guard.faulted()) {
-      io.seeks += 1;
-      io.bytes += page_bytes;
-    }
-    last_page = page;
-    have_last = true;
-  }
-  return io;
+  if (paged()) return PageFaults(nullptr, begin, end);
+  return TableIo{begin == 0 ? 1.0 : 0.0,
+                 static_cast<double>(end - begin) * meta_.RowWidth()};
 }
 
 StatusOr<TableIo> StoredTable::FetchRows(const int32_t* rows, size_t n) const {
+  if (paged()) return PageFaults(rows, 0, n);
+  return TableIo{static_cast<double>(n),
+                 static_cast<double>(n) * meta_.RowWidth()};
+}
+
+TableIo StoredTable::ProbeIndex(size_t probes) const {
+  if (paged()) return TableIo{};
+  return TableIo{static_cast<double>(probes), 0};
+}
+
+Pager* StoredTable::SpillPager(size_t bytes) const {
+  if (!paged() || bytes <= pool_->capacity() * pager()->page_size() / 4) {
+    return nullptr;
+  }
+  return pager();
+}
+
+StatusOr<TableIo> StoredTable::PageFaults(const int32_t* rows, size_t begin,
+                                          size_t end) const {
   TableIo io;
-  if (!paged()) return io;
-  BufferPool* bp = pool();
   const double page_bytes = static_cast<double>(pager()->page_size());
-  uint32_t last_page = 0;
-  bool have_last = false;
-  BufferPool::PageGuard guard;
-  for (size_t i = 0; i < n; ++i) {
-    if (rows[i] < 0) continue;  // unbound lane
-    const size_t r = static_cast<size_t>(rows[i]);
+  BufferPool::PageGuard guard;  // keeps the current page pinned
+  for (size_t i = begin; i < end; ++i) {
+    // A negative entry wraps to a huge index and fails the bound check.
+    const size_t r = rows == nullptr ? i : static_cast<size_t>(rows[i]);
     if (r >= locators_.size()) {
-      return Status::Internal("FetchRows: row index out of range");
+      return Status::Internal("row " + std::to_string(r) +
+                              " out of range in table '" + meta_.name + "'");
     }
     const uint32_t page = locators_[r].page;
-    if (have_last && page == last_page) continue;
-    guard.Release();
-    LEGODB_ASSIGN_OR_RETURN(guard, bp->Pin(page));
+    if (guard.valid() && guard.page_id() == page) continue;
+    guard.Release();  // before pinning the next page: a 1-frame pool must work
+    LEGODB_ASSIGN_OR_RETURN(guard, pool_->Pin(page));
     if (guard.faulted()) {
       io.seeks += 1;
       io.bytes += page_bytes;
     }
-    last_page = page;
-    have_last = true;
   }
   return io;
 }
@@ -442,7 +439,7 @@ StatusOr<const ColumnVector*> StoredTable::GetOrBuildColumnLocked(
   values.reserve(locators_.size());
   Row scratch;
   for (const RowLocator& loc : locators_) {
-    LEGODB_ASSIGN_OR_RETURN(BufferPool::PageGuard guard, pool()->Pin(loc.page));
+    LEGODB_ASSIGN_OR_RETURN(BufferPool::PageGuard guard, pool_->Pin(loc.page));
     uint16_t off = 0;
     uint16_t len = 0;
     LEGODB_RETURN_IF_ERROR(

@@ -7,12 +7,14 @@
 // tables in one of two places, chosen per database by StorageOptions:
 //
 //  - memory (the default, and the bit-identity reference): each table is
-//    one owning ColumnVector per catalog column. Zero IO; the executor
-//    charges modeled per-row stats.
+//    one owning ColumnVector per catalog column. Zero IO; accesses are
+//    priced with modeled per-row charges.
 //  - paged: fixed-size slotted pages in a backing file behind a pin-count
 //    BufferPool with LRU eviction and write-back. Row reads pin real
-//    pages; pool faults are real pread traffic, which feeds ExecStats
-//    seeks/bytes and the calibration gauges.
+//    pages; pool faults are real pread traffic, which prices accesses.
+//
+// Either way a table prices its own accesses (see TableIo), which feeds
+// ExecStats seeks/bytes and the calibration gauges.
 //
 // Both store the same logical rows in the same order, so every executor
 // result is bit-identical across them — the equivalence suites run
@@ -115,10 +117,15 @@ class HashIndex {
   std::unordered_map<Value, std::vector<size_t>, ValueHash> map_;
 };
 
-// Page traffic attributable to one table access: how many buffer-pool
-// faults (seeks) it caused and how many bytes those faults read. The memory
-// backend always reports zeros — its "IO" stays the modeled per-row charge
-// the executor has always used.
+// The price of one table access in the cost model's units. The table
+// decides it:
+//
+//  - memory: the modeled charges — one positioning seek per scan (a range
+//    read from row 0) and per index probe, one seek per fetched row, and
+//    the catalog row width in bytes per row read or fetched;
+//  - paged: the buffer-pool faults the access actually caused (pool hits
+//    are free), one page of bytes each. Indexes live in RAM, so an index
+//    probe costs nothing.
 struct TableIo {
   double seeks = 0;
   double bytes = 0;
@@ -133,8 +140,7 @@ struct TableIo {
 //  - paged: rows serialized into fixed-size slotted pages behind the
 //    database's buffer pool, with a RowLocator (page, slot) per row. A
 //    column slot stays empty until GetOrBuildColumn decodes it from pages,
-//    and every mutation empties it again. Readers charge real page
-//    traffic via FetchRowRange()/FetchRows().
+//    and every mutation empties it again.
 //
 // Loading (Insert/RemoveLastRows) must be single-threaded and finish before
 // query serving starts; after that, any number of threads may read rows and
@@ -159,7 +165,6 @@ class StoredTable {
 
   const rel::Table& meta() const { return meta_; }
   bool paged() const { return pool_ != nullptr; }
-  BufferPool* pool() const { return pool_; }
   Pager* pager() const { return pool_ == nullptr ? nullptr : pool_->pager(); }
 
   size_t row_count() const { return row_count_; }
@@ -188,13 +193,19 @@ class StoredTable {
   // FetchRows for attribution).
   StatusOr<Row> ReadRow(size_t i) const;
 
-  // Touches the pages holding rows [begin, end) in order, returning the
-  // page traffic this call actually caused (pool faults only — resident
-  // pages are free). The sequential-scan IO path.
+  // The prices of the three access kinds the cost model knows (see
+  // TableIo). Paged reads pin the rows' pages in order; a row outside the
+  // table is an Internal error. Reading rows [begin, end): a scan.
   StatusOr<TableIo> FetchRowRange(size_t begin, size_t end) const;
-  // Same for an explicit row-index list (negative entries are skipped —
-  // they are unbound lanes). The index-probe IO path.
+  // Fetching the `n` rows listed in `rows`: the rows an index probe found.
   StatusOr<TableIo> FetchRows(const int32_t* rows, size_t n) const;
+  // Probing one of this table's hash indexes `probes` times.
+  TableIo ProbeIndex(size_t probes) const;
+
+  // The pager a working set of `bytes` derived from this table should
+  // spill to: this table's pager once `bytes` exceeds a quarter of its
+  // buffer pool, else null (memory tables never spill).
+  Pager* SpillPager(size_t bytes) const;
 
   // Returns the index on `column`, building it on first use (thread-safe).
   // Internal error when the column does not exist in this table.
@@ -216,6 +227,10 @@ class StoredTable {
   };
 
   // Paged-backend internals (all assume paged()).
+  // Pins the pages holding rows rows[begin..end) — or rows begin..end when
+  // `rows` is null — in order, and counts the faults that caused.
+  StatusOr<TableIo> PageFaults(const int32_t* rows, size_t begin,
+                               size_t end) const;
   Status InsertPaged(const Row& row);
   Status RemoveLastRowsPaged(size_t n);
   StatusOr<Row> ReadRowPaged(size_t i) const;

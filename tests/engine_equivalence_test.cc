@@ -111,10 +111,10 @@ class ExecutorEquivalenceTest : public ::testing::Test {
   // workload actually faults and evicts. Disk tests compare against the
   // reference executor on this same database and on a memory database
   // shredded from the same document.
-  std::unique_ptr<store::Database> FreshDiskDatabase() {
+  std::unique_ptr<store::Database> FreshDiskDatabase(size_t pool_pages = 4) {
     auto db = std::make_unique<store::Database>(
         mapping_->catalog(),
-        store::StorageOptions::Paged(/*page_size=*/1024, /*pool_pages=*/4));
+        store::StorageOptions::Paged(/*page_size=*/1024, pool_pages));
     EXPECT_TRUE(store::ShredDocument(*doc_, *mapping_, db.get()).ok());
     EXPECT_TRUE(db->paged());
     return db;
@@ -408,19 +408,18 @@ TEST_F(ExecutorEquivalenceTest, DiskExecStatsReflectPoolFaults) {
   EXPECT_EQ(exec.stats().bytes_read, exec.stats().seeks * 1024);
 }
 
-// Forcing the hash-join build side to spill to temp pages must not change
-// results.
+// Hash-join build sides that spill to temp pages must not change results.
+// A two-page pool puts the spill threshold (a quarter of the pool) at 512
+// bytes, so every materialized build side past 128 row indices spills.
 TEST_F(ExecutorEquivalenceTest, DiskSpilledJoinsBitIdentical) {
   auto mem_db = FreshDatabase();
   std::vector<xq::ResultSet> expected = ReferenceResults(mem_db.get());
-  auto disk_db = FreshDiskDatabase();
+  auto disk_db = FreshDiskDatabase(/*pool_pages=*/2);
   std::vector<xq::ResultSet> disk_expected = ReferenceResults(disk_db.get());
-  engine::ExecOptions options;
-  options.spill_build_bytes = 1;  // every build side spills
   bool spilled = false;
   for (size_t i = 0; i < prepared_->size(); ++i) {
     const PreparedQuery& p = (*prepared_)[i];
-    engine::Executor exec(disk_db.get(), Params(), options);
+    engine::Executor exec(disk_db.get(), Params());
     auto actual = exec.ExecuteQuery(p.rq, p.plans);
     ASSERT_TRUE(actual.ok()) << p.name << ": " << actual.status().ToString();
     ExpectIdentical(expected[i], actual.value(), p.name + " spilled");

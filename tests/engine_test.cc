@@ -32,15 +32,21 @@ class EngineTest : public ::testing::Test {
     auto mapping = map::MapSchema(ps::Normalize(schema.value()));
     ASSERT_TRUE(mapping.ok()) << mapping.status().ToString();
     mapping_ = std::make_unique<map::Mapping>(std::move(mapping).value());
-    db_ = std::make_unique<store::Database>(mapping_->catalog());
+    db_ = Shredded(store::StorageOptions::Memory());
+  }
+
+  // The fixture document shredded into a fresh database on `storage`.
+  std::unique_ptr<store::Database> Shredded(store::StorageOptions storage) {
+    auto db = std::make_unique<store::Database>(mapping_->catalog(), storage);
     auto doc = xml::ParseDocument(
         "<p>"
         "<c><name>alpha</name><size>10</size></c>"
         "<c><name>beta</name></c>"
         "<c><name>alpha</name><size>30</size></c>"
         "</p>");
-    ASSERT_TRUE(doc.ok());
-    ASSERT_TRUE(store::ShredDocument(doc.value(), *mapping_, db_.get()).ok());
+    EXPECT_TRUE(doc.ok());
+    EXPECT_TRUE(store::ShredDocument(doc.value(), *mapping_, db.get()).ok());
+    return db;
   }
 
   // A one-table scan block over C outputting `name`.
@@ -420,6 +426,47 @@ TEST_F(EngineTest, ProfiledHashJoinRunsTheSharedIndexPath) {
   EXPECT_EQ(profile.ops[1].seeks, p.seeks);
 }
 
+// The bypass does not depend on the backend: over paged tables the join
+// probes the shared index too, EXPLAIN ANALYZE says so, the rows are the
+// reference executor's, and the skipped build scan is charged exactly the
+// pool faults its range read caused.
+TEST_F(EngineTest, PagedHashJoinProbesTheSharedIndex) {
+  auto db = Shredded(store::StorageOptions::Paged(/*page_size=*/512,
+                                                  /*pool_pages=*/1));
+  // Column and index builds read pages too; that traffic is not the query's.
+  ASSERT_TRUE(db->PrewarmIndexes().ok());
+  ASSERT_TRUE(db->PrewarmColumns().ok());
+  opt::QueryBlock b = JoinBlock(false);
+  opt::PhysicalPlanPtr plan = HashJoinPlan(false, {});
+
+  ReferenceExecutor ref(db.get());
+  auto expected = ref.ExecuteBlock(b, plan);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+  ExecOptions options;
+  options.collect_profile = true;
+  Executor exec(db.get(), {}, options);
+  const uint64_t faults_before = db->buffer_pool()->stats().faults;
+  auto r = exec.ExecuteBlock(b, plan);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const uint64_t fault_delta =
+      db->buffer_pool()->stats().faults - faults_before;
+
+  EXPECT_EQ(r->rows, expected->rows);
+  EXPECT_EQ(r->rows.size(), 3u);
+  // The one-frame pool cannot hold both tables' pages.
+  EXPECT_GT(fault_delta, 0u);
+  EXPECT_EQ(exec.stats().seeks, static_cast<double>(fault_delta));
+  EXPECT_EQ(exec.stats().bytes_read, exec.stats().seeks * 512);
+
+  const ExecProfile& profile = exec.profile();
+  std::string table = ExplainAnalyzeTable(profile);
+  EXPECT_NE(table.find("shared index"), std::string::npos) << table;
+  for (const OpActual& op : profile.ops) {
+    EXPECT_NE(op.label, "SeqScan(c)") << "build scan in the profile";
+  }
+}
+
 // A caller's prepared set is the only source of programs for the plans it
 // was compiled from; a plan node it does not know is an internal error, not
 // a reason to compile on the fly.
@@ -427,7 +474,9 @@ TEST_F(EngineTest, PreparedSetWithoutThePlanNodeIsInternal) {
   opt::QueryBlock b = ChildBlock();
   opt::PhysicalPlanPtr compiled = ScanProjectPlan(0, {});
   opt::PhysicalPlanPtr other = ScanProjectPlan(0, {});
-  auto prepared = PreparedPrograms::CompileBlock(db_.get(), b, compiled);
+  opt::RelQuery query;
+  query.blocks.push_back(b);
+  auto prepared = PreparedPrograms::Compile(db_.get(), query, {compiled});
   ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
   ExecOptions options;
   options.prepared = &*prepared;

@@ -310,6 +310,55 @@ TEST(PagedTable, FetchRowRangeChargesOnlyFaults) {
   EXPECT_GT(io2->seeks, 0.0);
 }
 
+// The same three calls price both backends. Memory returns the modeled
+// charges: one positioning seek for a scan from row 0 and per index probe,
+// one seek per fetched row, and the catalog row width per row.
+TEST(TablePricing, MemoryChargesTheModel) {
+  StoredTable t(SimpleMeta());
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(t.Insert({Value::Int(i), Value::Str("m")}).ok());
+  }
+  const double width = SimpleMeta().RowWidth();
+  auto first = t.FetchRowRange(0, 4);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first->seeks, 1.0);
+  EXPECT_EQ(first->bytes, 4 * width);
+  auto rest = t.FetchRowRange(4, 10);
+  ASSERT_TRUE(rest.ok());
+  EXPECT_EQ(rest->seeks, 0.0);
+  EXPECT_EQ(rest->bytes, 6 * width);
+  const int32_t rows[] = {7, 2, 7};
+  auto fetched = t.FetchRows(rows, 3);
+  ASSERT_TRUE(fetched.ok());
+  EXPECT_EQ(fetched->seeks, 3.0);
+  EXPECT_EQ(fetched->bytes, 3 * width);
+  EXPECT_EQ(t.ProbeIndex(5).seeks, 5.0);
+  EXPECT_EQ(t.ProbeIndex(5).bytes, 0.0);
+  EXPECT_EQ(t.SpillPager(size_t{1} << 40), nullptr);  // memory never spills
+}
+
+// Paged prices are pool faults only: the index lives in RAM, a fetch that
+// stays on resident pages is free, and a row outside the table is an error.
+TEST(TablePricing, PagedChargesFaults) {
+  PagedStore store(/*pool_pages=*/4);
+  StoredTable t(SimpleMeta(), &store.pool);
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(t.Insert({Value::Int(i), Value::Str("p")}).ok());
+  }
+  EXPECT_EQ(t.ProbeIndex(5).seeks, 0.0);
+  const int32_t rows[] = {7, 2, 7};
+  auto fetched = t.FetchRows(rows, 3);
+  ASSERT_TRUE(fetched.ok());
+  EXPECT_EQ(fetched->seeks, 0.0);  // the one page is resident since insert
+  const int32_t bad[] = {10};
+  EXPECT_EQ(t.FetchRows(bad, 1).status().code(), Status::Code::kInternal);
+  const int32_t unbound[] = {-1};
+  EXPECT_FALSE(t.FetchRows(unbound, 1).ok());
+  // The spill threshold is a quarter of the pool: 4 pages of 512 bytes.
+  EXPECT_EQ(t.SpillPager(512), nullptr);
+  EXPECT_EQ(t.SpillPager(513), store.pager.get());
+}
+
 TEST(PagedTable, RowTooLargeForPageIsRejected) {
   PagedStore store(2);
   StoredTable t(SimpleMeta(), &store.pool);
