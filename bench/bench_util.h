@@ -224,6 +224,23 @@ inline const char* BuildType() {
 #endif
 }
 
+// Removes `--obs-out=FILE` from argv and returns FILE ("" when absent), so
+// a Google Benchmark harness can take that flag and hand the rest to
+// benchmark::Initialize, which rejects flags it does not know.
+inline std::string TakeObsOutFlag(int* argc, char** argv) {
+  std::string obs_out;
+  int out_argc = 1;
+  for (int i = 1; i < *argc; ++i) {
+    if (std::string(argv[i]).rfind("--obs-out=", 0) == 0) {
+      obs_out = argv[i] + 10;
+    } else {
+      argv[out_argc++] = argv[i];
+    }
+  }
+  *argc = out_argc;
+  return obs_out;
+}
+
 // Installs an obs::Registry for the harness's lifetime, so spans / counters
 // / histograms recorded anywhere in the pipeline (search iterations,
 // optimizer planning time, translation time) accumulate here. WriteJson

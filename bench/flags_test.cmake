@@ -3,6 +3,7 @@
 # taken as the output path and `--scale=abc` silently became 0).
 #
 #   cmake -DBENCH=path/to/serving -DMICRO_ENGINE=path/to/micro_engine
+#         -DMICRO_OPTIMIZER=path/to/micro_optimizer
 #         -DWORKDIR=scratch/dir -P flags_test.cmake
 file(REMOVE_RECURSE "${WORKDIR}")
 file(MAKE_DIRECTORY "${WORKDIR}")
@@ -31,6 +32,7 @@ endforeach()
 # micro_engine hands its flags to Google Benchmark, which must reject an
 # unknown one before the reference-vs-batched gate runs.
 expect_rejected("${MICRO_ENGINE}" --bogus)
+expect_rejected("${MICRO_OPTIMIZER}" --bogus)
 
 file(GLOB written "${WORKDIR}/*")
 if(written)

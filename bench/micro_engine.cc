@@ -10,7 +10,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstring>
 #include <optional>
 #include <string>
 
@@ -203,18 +202,7 @@ BENCHMARK(BM_ExecuteLookup);
 // Custom main instead of BENCHMARK_MAIN so the correctness gate always runs
 // and the obs report can be written after the benchmarks.
 int main(int argc, char** argv) {
-  // Strip --obs-out before google-benchmark sees the arguments (it rejects
-  // flags it does not know).
-  std::string obs_out;
-  int out_argc = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--obs-out=", 10) == 0) {
-      obs_out = argv[i] + 10;
-    } else {
-      argv[out_argc++] = argv[i];
-    }
-  }
-  argc = out_argc;
+  std::string obs_out = bench::TakeObsOutFlag(&argc, argv);
 
   // Google Benchmark takes the remaining flags; reject anything else before
   // the correctness gate spends its time, with the exit code and usage

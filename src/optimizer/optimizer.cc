@@ -5,7 +5,10 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <utility>
+#include <vector>
 
+#include "common/check.h"
 #include "common/failpoint.h"
 #include "obs/obs.h"
 
@@ -14,15 +17,53 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+// How the best plan of one subset of a block's relations is produced.
+enum class Method : uint8_t {
+  kNone,
+  kSeqScan,
+  kIndexLookup,
+  kHashJoin,
+  kIndexNLJoin,
+};
+
+// The best plan found for one subset of a block's relations: its estimates
+// plus the choice that produced it. Join ordering fills entries only; the
+// PhysicalPlan tree is built once, from the full set's entry, at the end.
 struct Entry {
   double cost = kInf;
   double rows = 0;
   double width = 0;  // bytes per intermediate tuple
   double seeks = 0;  // predicted seeks, inclusive of inputs
   double bytes = 0;  // predicted bytes read, inclusive of inputs
-  PhysicalPlanPtr plan;
+  Method method = Method::kNone;
+  // kHashJoin: the probe side; kIndexNLJoin: the outer side. The other
+  // input is the rest of the subset.
+  uint64_t left = 0;
+  // kIndexLookup: the probed filter; kIndexNLJoin: the driving join edge.
+  int arg = -1;
 
-  bool valid() const { return plan != nullptr; }
+  bool valid() const { return method != Method::kNone; }
+};
+
+// A join edge's statistics, fixed for the block. Index [s] describes the
+// edge's left (s = 0) or right (s = 1) relation as the inner side of an
+// index nested-loops join.
+struct EdgeStats {
+  uint64_t left_mask = 0;
+  uint64_t right_mask = 0;
+  double factor = 1;  // the edge's cardinality factor
+  bool indexed[2] = {false, false};
+  double matches_per_probe[2] = {0, 0};
+};
+
+// A relation of the block and its statistics, fixed for the block.
+struct RelStats {
+  const rel::Table* table = nullptr;
+  double filtered_rows = 0;  // cardinality after the block's filters
+  double row_width = 0;
+  uint64_t neighbours = 0;        // relations joined to it
+  uint64_t outer_neighbours = 0;  // ... by a left-outer edge
+  std::vector<int> incident;      // its join edges, in block order
 };
 
 // Plans one SPJ block: access paths, join order, join methods.
@@ -38,32 +79,42 @@ class BlockPlanner {
     if (n > 62) return Status::Unsupported("too many relations in block");
     obs::Count("optimizer.blocks_planned");
     obs::Observe("optimizer.block_rels", static_cast<double>(n));
+    rels_.resize(n);
     for (size_t i = 0; i < n; ++i) {
-      const rel::Table* table = catalog_.FindTable(block_.rels[i].table);
-      if (!table) {
+      rels_[i].table = catalog_.FindTable(block_.rels[i].table);
+      if (!rels_[i].table) {
         return Status::NotFound("table '" + block_.rels[i].table +
                                 "' not in catalog");
       }
-      tables_.push_back(table);
     }
+    auto in_block = [n](int rel) {
+      return rel >= 0 && static_cast<size_t>(rel) < n;
+    };
+    for (const auto& e : block_.joins) {
+      if (!in_block(e.left_rel) || !in_block(e.right_rel)) {
+        return Status::InvalidArgument(
+            "join edge names a relation outside the block");
+      }
+    }
+    ComputeBlockStats();
 
-    Entry best = n <= static_cast<size_t>(p_.dp_rel_limit) ? PlanDp()
-                                                           : PlanGreedy();
-    if (!best.valid()) {
-      return Status::Internal("no plan found for block");
-    }
+    PhysicalPlanPtr best = n <= static_cast<size_t>(p_.dp_rel_limit)
+                               ? PlanDp()
+                               : PlanGreedy();
+    if (!best) return Status::Internal("no plan found for block");
 
     // Root projection: producing the result counts as writing.
     auto root = std::make_shared<PhysicalPlan>();
     root->kind = PhysicalPlan::Kind::kProject;
-    root->child = best.plan;
+    root->child = best;
     root->outputs = block_.output;
     double out_width = OutputWidth();
-    root->est_rows = best.rows;
-    root->est_cost = best.cost + best.rows * out_width * p_.write_per_byte +
-                     best.rows * p_.cpu_per_tuple;
-    root->est_seeks = best.seeks;  // output writing adds no read IO
-    root->est_bytes = best.bytes;
+    root->est_rows = best->est_rows;
+    root->est_cost = best->est_cost +
+                     best->est_rows * out_width * p_.write_per_byte +
+                     best->est_rows * p_.cpu_per_tuple;
+    root->est_seeks = best->est_seeks;  // output writing adds no read IO
+    root->est_bytes = best->est_bytes;
     root->vectorized = true;
     return PlannedBlock{root, root->est_cost, root->est_rows};
   }
@@ -96,9 +147,12 @@ class BlockPlanner {
   }
 
   // ---- statistics helpers ----
+  //
+  // These look columns up by name; ComputeBlockStats calls them once per
+  // block, and join ordering reads only the numbers it stored.
 
   const rel::Column* Col(int rel, const std::string& name) const {
-    return tables_[rel]->FindColumn(name);
+    return rels_[rel].table->FindColumn(name);
   }
 
   double ColDistincts(int rel, const std::string& name) const {
@@ -112,10 +166,8 @@ class BlockPlanner {
   }
 
   double BaseRows(int rel) const {
-    return std::max(1.0, tables_[rel]->row_count);
+    return std::max(1.0, rels_[rel].table->row_count);
   }
-
-  double RowWidth(int rel) const { return tables_[rel]->RowWidth(); }
 
   double FilterSelectivity(const FilterPred& f) const {
     double nn = 1.0 - ColNullFrac(f.rel, f.column);
@@ -160,22 +212,19 @@ class BlockPlanner {
     }
   }
 
-  double FilteredRows(int rel) const {
-    double rows = BaseRows(rel);
-    for (const auto& f : block_.filters) {
-      if (f.rel == rel) rows *= FilterSelectivity(f);
-    }
-    return std::max(rows, 1e-6);
-  }
-
   // Effective distinct count of a join column among the filtered rows.
   double EffDistincts(int rel, const std::string& column) const {
-    return std::max(1.0,
-                    std::min(ColDistincts(rel, column), FilteredRows(rel)));
+    return std::max(1.0, std::min(ColDistincts(rel, column),
+                                  rels_[rel].filtered_rows));
+  }
+
+  // Distincts over the unfiltered base table (for index probe fan-out).
+  double EffDistinctsBase(int rel, const std::string& column) const {
+    return std::max(1.0, std::min(ColDistincts(rel, column), BaseRows(rel)));
   }
 
   bool Indexed(int rel, const std::string& column) const {
-    const rel::Table* t = tables_[rel];
+    const rel::Table* t = rels_[rel].table;
     if (column == t->key_column) return true;
     for (const auto& fk : t->foreign_keys) {
       if (fk.column == column) return true;
@@ -196,18 +245,36 @@ class BlockPlanner {
     return std::max(w, 1.0);
   }
 
-  // Estimated cardinality of joining the relations in `mask`: product of
-  // filtered cardinalities discounted by each internal join edge.
-  double Card(uint64_t mask) {
-    auto it = card_memo_.find(mask);
-    if (it != card_memo_.end()) return it->second;
-    double rows = 1;
-    for (size_t i = 0; i < block_.rels.size(); ++i) {
-      if (mask & (1ull << i)) rows *= FilteredRows(static_cast<int>(i));
+  // Everything join ordering needs, computed once per block: each
+  // relation's RelStats, and each edge's cardinality factor and index
+  // nested-loops fan-out.
+  void ComputeBlockStats() {
+    for (size_t i = 0; i < rels_.size(); ++i) {
+      int rel = static_cast<int>(i);
+      double rows = BaseRows(rel);
+      for (const auto& f : block_.filters) {
+        if (f.rel == rel) rows *= FilterSelectivity(f);
+      }
+      rels_[i].filtered_rows = std::max(rows, 1e-6);
+      rels_[i].row_width = rels_[i].table->RowWidth();
     }
+    edges_.clear();
     for (const auto& e : block_.joins) {
-      if (!(mask & (1ull << e.left_rel)) || !(mask & (1ull << e.right_rel))) {
-        continue;
+      EdgeStats s;
+      s.left_mask = 1ull << e.left_rel;
+      s.right_mask = 1ull << e.right_rel;
+      if (e.left_rel != e.right_rel) {  // a self-edge joins no two subsets
+        RelStats& left = rels_[e.left_rel];
+        RelStats& right = rels_[e.right_rel];
+        left.neighbours |= s.right_mask;
+        right.neighbours |= s.left_mask;
+        if (e.left_outer) {
+          left.outer_neighbours |= s.right_mask;
+          right.outer_neighbours |= s.left_mask;
+        }
+        int k = static_cast<int>(edges_.size());
+        left.incident.push_back(k);
+        right.incident.push_back(k);
       }
       double dl = EffDistincts(e.left_rel, e.left_column);
       double dr = EffDistincts(e.right_rel, e.right_column);
@@ -217,47 +284,73 @@ class BlockPlanner {
       if (e.left_outer) {
         // A preserved outer row always survives: at least one row per outer
         // row, i.e. the edge cannot reduce cardinality below 1 match.
-        double inner_rows = FilteredRows(e.right_rel);
-        sel = std::max(sel, 1.0 / inner_rows);
+        sel = std::max(sel, 1.0 / rels_[e.right_rel].filtered_rows);
       }
-      rows *= std::clamp(sel, 1e-12, 1.0);
+      s.factor = std::clamp(sel, 1e-12, 1.0);
+      for (int side = 0; side < 2; ++side) {
+        int rel = side ? e.right_rel : e.left_rel;
+        const std::string& col = side ? e.right_column : e.left_column;
+        s.indexed[side] = Indexed(rel, col);
+        s.matches_per_probe[side] = BaseRows(rel) *
+                                    (1.0 - ColNullFrac(rel, col)) /
+                                    EffDistinctsBase(rel, col);
+      }
+      edges_.push_back(s);
     }
-    rows = std::max(rows, 1e-6);
-    card_memo_[mask] = rows;
-    return rows;
+  }
+
+  // Relations joined to some relation in `mask`.
+  uint64_t Neighbours(uint64_t mask) const {
+    uint64_t out = 0;
+    for (; mask; mask &= mask - 1) {
+      out |= rels_[std::countr_zero(mask)].neighbours;
+    }
+    return out;
+  }
+
+  // Whether a left-outer edge joins the disjoint subsets `a` and `b`.
+  bool OuterBetween(uint64_t a, uint64_t b) const {
+    for (; a; a &= a - 1) {
+      if (rels_[std::countr_zero(a)].outer_neighbours & b) return true;
+    }
+    return false;
+  }
+
+  // Estimated cardinality of joining the relations in `mask`: product of
+  // filtered cardinalities discounted by each internal join edge.
+  double Card(uint64_t mask) const {
+    double rows = 1;
+    for (size_t i = 0; i < rels_.size(); ++i) {
+      if (mask & (1ull << i)) rows *= rels_[i].filtered_rows;
+    }
+    for (const EdgeStats& e : edges_) {
+      if ((mask & e.left_mask) && (mask & e.right_mask)) rows *= e.factor;
+    }
+    return std::max(rows, 1e-6);
   }
 
   // ---- leaf access paths ----
 
-  Entry AccessPath(int rel) {
-    std::vector<FilterPred> filters;
-    for (const auto& f : block_.filters) {
-      if (f.rel == rel) filters.push_back(f);
-    }
+  Entry AccessPath(int rel) const {
     double base = BaseRows(rel);
-    double width = RowWidth(rel);
-    double out_rows = FilteredRows(rel);
+    double width = rels_[rel].row_width;
+    double out_rows = rels_[rel].filtered_rows;
 
-    Entry best;
-    {  // sequential scan
-      double seeks = ScanSeeks(base * width);
-      double bytes = PagedBytes(base * width);
-      auto plan = std::make_shared<PhysicalPlan>();
-      plan->kind = PhysicalPlan::Kind::kSeqScan;
-      plan->rel = rel;
-      plan->filters = filters;
-      plan->est_rows = out_rows;
-      plan->est_cost = seeks * p_.seek_cost + bytes * p_.read_per_byte +
-                       base * p_.cpu_per_tuple;
-      plan->est_seeks = seeks;
-      plan->est_bytes = bytes;
-      plan->vectorized = true;
-      best = Entry{plan->est_cost, out_rows, width, seeks, bytes, plan};
-    }
+    // Sequential scan.
+    double scan_seeks = ScanSeeks(base * width);
+    double scan_bytes = PagedBytes(base * width);
+    Entry best{scan_seeks * p_.seek_cost + scan_bytes * p_.read_per_byte +
+                   base * p_.cpu_per_tuple,
+               out_rows,
+               width,
+               scan_seeks,
+               scan_bytes,
+               Method::kSeqScan};
     // Index lookup on the most selective indexed filter column (hash
     // indexes serve equality probes only).
-    for (const auto& f : filters) {
-      if (f.not_null || f.op != xq::CompareOp::kEq ||
+    for (size_t k = 0; k < block_.filters.size(); ++k) {
+      const FilterPred& f = block_.filters[k];
+      if (f.rel != rel || f.not_null || f.op != xq::CompareOp::kEq ||
           !Indexed(rel, f.column)) {
         continue;
       }
@@ -267,17 +360,8 @@ class BlockPlanner {
       double cost = seeks * p_.seek_cost + bytes * p_.read_per_byte +
                     matches * p_.cpu_per_tuple;
       if (cost < best.cost) {
-        auto plan = std::make_shared<PhysicalPlan>();
-        plan->kind = PhysicalPlan::Kind::kIndexLookup;
-        plan->rel = rel;
-        plan->index_column = f.column;
-        plan->filters = filters;  // residuals re-checked cheaply
-        plan->est_rows = out_rows;
-        plan->est_cost = cost;
-        plan->est_seeks = seeks;
-        plan->est_bytes = bytes;
-        plan->vectorized = true;
-        best = Entry{cost, out_rows, width, seeks, bytes, plan};
+        best = Entry{cost,  out_rows, width, seeks, bytes,
+                     Method::kIndexLookup, 0, static_cast<int>(k)};
       }
     }
     return best;
@@ -285,241 +369,265 @@ class BlockPlanner {
 
   // ---- join combination ----
 
-  std::vector<const JoinEdge*> EdgesBetween(uint64_t a, uint64_t b) const {
-    std::vector<const JoinEdge*> edges;
-    for (const auto& e : block_.joins) {
-      uint64_t lm = 1ull << e.left_rel;
-      uint64_t rm = 1ull << e.right_rel;
-      if (((lm & a) && (rm & b)) || ((lm & b) && (rm & a))) {
-        edges.push_back(&e);
-      }
-    }
-    return edges;
-  }
-
-  // Combines two planned subsets. `single_b_rel` >= 0 when the right subset
-  // is one base relation (enables index nested loops).
-  Entry Combine(const Entry& a, uint64_t mask_a, const Entry& b,
-                uint64_t mask_b, int single_b_rel) {
-    uint64_t mask = mask_a | mask_b;
-    double out_rows = Card(mask);
+  // Offers every way of joining `a` (relations `mask_a`) with `b` to
+  // `best`, which keeps the first strictly cheapest. The two are joined by
+  // at least one edge; `outer` tells whether one of them is left-outer.
+  void Combine(const Entry& a, uint64_t mask_a, const Entry& b,
+               uint64_t mask_b, bool outer, double out_rows,
+               Entry* best) const {
+    // Hash join in both orientations. Left-outer joins preserve the probe
+    // side `a`, so only the orientation building `b` is valid for them.
     double width = a.width + b.width;
-    std::vector<const JoinEdge*> edges = EdgesBetween(mask_a, mask_b);
-    bool outer = false;
-    for (const auto* e : edges) outer |= e->left_outer;
-
-    Entry best;
-    // Hash join: build the smaller side.
-    for (int build_right = 0; build_right < 2; ++build_right) {
+    for (int build_right = outer ? 1 : 0; build_right < 2; ++build_right) {
       const Entry& probe = build_right ? a : b;
       const Entry& build = build_right ? b : a;
-      if (outer) {
-        // Left-outer joins preserve the left (probe=a) side; only the
-        // build_right orientation is valid.
-        if (!build_right) continue;
-      }
-      if (edges.empty()) continue;
       double cost = probe.cost + build.cost +
-                    build.rows * (p_.cpu_per_probe +
-                                  build.width * 0.0) +  // build
-                    probe.rows * p_.cpu_per_probe +     // probe
+                    build.rows * p_.cpu_per_probe +  // build
+                    probe.rows * p_.cpu_per_probe +  // probe
                     out_rows * p_.cpu_per_tuple;
-      double seeks = probe.seeks + build.seeks;  // joins add CPU, not IO
-      double bytes = probe.bytes + build.bytes;
-      if (cost < best.cost) {
-        auto plan = std::make_shared<PhysicalPlan>();
-        plan->kind = PhysicalPlan::Kind::kHashJoin;
-        plan->left = probe.plan;
-        plan->right = build.plan;
-        const JoinEdge* e = edges[0];
-        bool e_left_in_probe =
-            ((1ull << e->left_rel) & (build_right ? mask_a : mask_b)) != 0;
-        plan->left_join_rel = e_left_in_probe ? e->left_rel : e->right_rel;
-        plan->left_join_column =
-            e_left_in_probe ? e->left_column : e->right_column;
-        plan->right_join_rel = e_left_in_probe ? e->right_rel : e->left_rel;
-        plan->right_join_column =
-            e_left_in_probe ? e->right_column : e->left_column;
-        plan->left_outer = outer;
-        for (size_t k = 1; k < edges.size(); ++k) {
-          plan->residual_joins.push_back(*edges[k]);
-        }
-        plan->est_rows = out_rows;
-        plan->est_cost = cost;
-        plan->est_seeks = seeks;
-        plan->est_bytes = bytes;
-        plan->vectorized = true;
-        best = Entry{cost, out_rows, width, seeks, bytes, plan};
+      if (cost < best->cost) {
+        // Joins add CPU, not IO.
+        *best = Entry{cost,
+                      out_rows,
+                      width,
+                      probe.seeks + build.seeks,
+                      probe.bytes + build.bytes,
+                      Method::kHashJoin,
+                      build_right ? mask_a : mask_b};
       }
     }
-    // Index nested loops: inner side must be a single base relation with an
-    // index on its join column.
-    if (single_b_rel >= 0) {
-      for (const auto* e : edges) {
-        bool inner_is_right = e->right_rel == single_b_rel;
-        int inner_rel = single_b_rel;
-        const std::string& inner_col =
-            inner_is_right ? e->right_column : e->left_column;
-        int outer_rel = inner_is_right ? e->left_rel : e->right_rel;
-        const std::string& outer_col =
-            inner_is_right ? e->left_column : e->right_column;
-        if (e->left_outer && !inner_is_right) continue;  // must preserve left
-        if (!Indexed(inner_rel, inner_col)) continue;
-        double matches_per_probe =
-            BaseRows(inner_rel) * (1.0 - ColNullFrac(inner_rel, inner_col)) /
-            EffDistinctsBase(inner_rel, inner_col);
-        double seeks_added =
-            a.rows * (p_.index_probe_seeks + matches_per_probe);
-        double bytes_added =
-            a.rows * matches_per_probe * ProbeBytes(RowWidth(inner_rel));
-        double cost = a.cost + seeks_added * p_.seek_cost +
-                      bytes_added * p_.read_per_byte +
-                      a.rows * matches_per_probe * p_.cpu_per_tuple +
-                      out_rows * p_.cpu_per_tuple;
-        if (cost < best.cost) {
-          auto plan = std::make_shared<PhysicalPlan>();
-          plan->kind = PhysicalPlan::Kind::kIndexNLJoin;
-          plan->left = a.plan;
-          plan->rel = inner_rel;
-          plan->index_column = inner_col;
-          for (const auto& f : block_.filters) {
-            if (f.rel == inner_rel) plan->filters.push_back(f);
-          }
-          plan->left_join_rel = outer_rel;
-          plan->left_join_column = outer_col;
-          plan->right_join_rel = inner_rel;
-          plan->right_join_column = inner_col;
-          plan->left_outer = e->left_outer;
-          for (const auto* other : edges) {
-            if (other != e) plan->residual_joins.push_back(*other);
-          }
-          plan->est_rows = out_rows;
-          plan->est_cost = cost;
-          plan->est_seeks = a.seeks + seeks_added;
-          plan->est_bytes = a.bytes + bytes_added;
-          plan->vectorized = true;
-          best = Entry{cost,
-                       out_rows,
-                       a.width + RowWidth(inner_rel),
-                       a.seeks + seeks_added,
-                       a.bytes + bytes_added,
-                       plan};
-        }
+    // Index nested loops: the inner side must be a single base relation
+    // with an index on its join column.
+    if (!std::has_single_bit(mask_b)) return;
+    int inner = std::countr_zero(mask_b);
+    for (int k : rels_[inner].incident) {
+      // Only the edges joining it to `a` drive a probe; block order.
+      if (((edges_[k].left_mask | edges_[k].right_mask) & mask_a) == 0) {
+        continue;
+      }
+      const JoinEdge& e = block_.joins[k];
+      int side = e.right_rel == inner ? 1 : 0;
+      if (e.left_outer && side == 0) continue;  // must preserve left
+      if (!edges_[k].indexed[side]) continue;
+      double matches_per_probe = edges_[k].matches_per_probe[side];
+      double seeks_added = a.rows * (p_.index_probe_seeks + matches_per_probe);
+      double bytes_added =
+          a.rows * matches_per_probe * ProbeBytes(rels_[inner].row_width);
+      double cost = a.cost + seeks_added * p_.seek_cost +
+                    bytes_added * p_.read_per_byte +
+                    a.rows * matches_per_probe * p_.cpu_per_tuple +
+                    out_rows * p_.cpu_per_tuple;
+      if (cost < best->cost) {
+        *best = Entry{cost,
+                      out_rows,
+                      a.width + rels_[inner].row_width,
+                      a.seeks + seeks_added,
+                      a.bytes + bytes_added,
+                      Method::kIndexNLJoin,
+                      mask_a,
+                      k};
       }
     }
-    return best;
   }
 
-  // Distincts over the unfiltered base table (for index probe fan-out).
-  double EffDistinctsBase(int rel, const std::string& column) const {
-    return std::max(1.0, std::min(ColDistincts(rel, column), BaseRows(rel)));
-  }
-
-  Entry PlanDp() {
-    size_t n = block_.rels.size();
-    std::map<uint64_t, Entry> best;
-    for (size_t i = 0; i < n; ++i) {
-      best[1ull << i] = AccessPath(static_cast<int>(i));
-    }
-    uint64_t full = n == 64 ? ~0ull : (1ull << n) - 1;
-    // Enumerate subsets in increasing size.
-    std::vector<uint64_t> masks;
-    for (uint64_t m = 1; m <= full; ++m) {
-      if (std::popcount(m) >= 2) masks.push_back(m);
-    }
-    std::sort(masks.begin(), masks.end(), [](uint64_t a, uint64_t b) {
-      int pa = std::popcount(a), pb = std::popcount(b);
-      return pa != pb ? pa < pb : a < b;
-    });
+  // Dynamic programming over the connected subsets of the join graph.
+  // Every proper subset of a mask is numerically smaller, so visiting masks
+  // in increasing order finalizes both halves before their union. Within
+  // a mask, splits are tried in descending order of the half without the
+  // mask's highest relation, each half as the left input in turn, and the
+  // first strictly cheapest candidate wins.
+  PhysicalPlanPtr PlanDp() {
     obs::Count("optimizer.dp_plans");
-    for (uint64_t mask : masks) {
-      Entry entry;
-      bool found_connected = false;
-      for (int pass = 0; pass < 2 && !entry.valid(); ++pass) {
-        bool allow_cartesian = pass == 1;
-        // Enumerate proper sub-splits.
-        for (uint64_t sub = (mask - 1) & mask; sub; sub = (sub - 1) & mask) {
-          uint64_t rest = mask ^ sub;
-          if (sub > rest) continue;  // each split once; Combine tries both
-          auto a_it = best.find(sub);
-          auto b_it = best.find(rest);
-          if (a_it == best.end() || b_it == best.end()) continue;
-          if (!a_it->second.valid() || !b_it->second.valid()) continue;
-          bool connected = !EdgesBetween(sub, rest).empty();
-          if (!connected && !allow_cartesian) continue;
-          if (connected) found_connected = true;
-          if (!connected) {
-            // Cartesian product via (degenerate) hash join is not modeled;
-            // skip — translation never produces disconnected blocks.
-            continue;
-          }
-          for (int dir = 0; dir < 2; ++dir) {
-            uint64_t ma = dir ? rest : sub;
-            uint64_t mb = dir ? sub : rest;
-            const Entry& ea = best[ma];
-            const Entry& eb = best[mb];
-            int single = std::popcount(mb) == 1
-                             ? std::countr_zero(mb)
-                             : -1;
-            Entry cand = Combine(ea, ma, eb, mb, single);
-            if (cand.valid() && cand.cost < entry.cost) entry = cand;
-          }
-        }
-        if (found_connected) break;
+    size_t n = block_.rels.size();
+    uint64_t full = (1ull << n) - 1;
+    std::vector<Entry> memo(full + 1);
+    std::vector<uint64_t> neighbours(full + 1, 0);
+    std::vector<uint8_t> connected(full + 1, 0);
+    for (uint64_t m = 1; m <= full; ++m) {
+      neighbours[m] =
+          neighbours[m & (m - 1)] | rels_[std::countr_zero(m)].neighbours;
+      uint64_t reach = m & -m;  // flood from the lowest relation
+      for (uint64_t next; (next = (reach | neighbours[reach]) & m) != reach;) {
+        reach = next;
       }
-      if (entry.valid()) best[mask] = entry;
+      connected[m] = reach == m;
     }
-    obs::Observe("optimizer.memo_size", static_cast<double>(best.size()));
-    auto it = best.find(full);
-    return it == best.end() ? Entry{} : it->second;
+    for (size_t i = 0; i < n; ++i) {
+      memo[1ull << i] = AccessPath(static_cast<int>(i));
+    }
+    int64_t pairs = 0;
+    int64_t planned = static_cast<int64_t>(n);
+    for (uint64_t mask = 3; mask <= full; ++mask) {
+      if (!connected[mask] || std::has_single_bit(mask)) continue;
+      Entry& entry = memo[mask];
+      double out_rows = Card(mask);
+      uint64_t lower = mask ^ std::bit_floor(mask);
+      for (uint64_t sub = lower; sub; sub = (sub - 1) & lower) {
+        uint64_t rest = mask ^ sub;
+        // Most subsets fail here; one branch on the combined test keeps
+        // the loop cheap.
+        if (!(connected[sub] & connected[rest] &
+              ((neighbours[sub] & rest) != 0))) {
+          continue;
+        }
+        if (!memo[sub].valid() || !memo[rest].valid()) continue;
+        ++pairs;
+        bool outer = OuterBetween(sub, rest);
+        Combine(memo[sub], sub, memo[rest], rest, outer, out_rows, &entry);
+        Combine(memo[rest], rest, memo[sub], sub, outer, out_rows, &entry);
+      }
+      if (entry.valid()) ++planned;
+    }
+    obs::Count("optimizer.dp_pairs", pairs);
+    obs::Observe("optimizer.memo_size", static_cast<double>(planned));
+    if (!memo[full].valid()) return nullptr;
+    return Build(full, [&](uint64_t m) -> const Entry& { return memo[m]; });
   }
 
-  Entry PlanGreedy() {
+  // Greedy join ordering: repeatedly joins the cheapest connected pair.
+  PhysicalPlanPtr PlanGreedy() {
     obs::Count("optimizer.greedy_plans");
     size_t n = block_.rels.size();
     std::vector<uint64_t> masks;
     std::vector<Entry> entries;
+    std::map<uint64_t, Entry> chosen;  // every subset planned, for Build
     for (size_t i = 0; i < n; ++i) {
       masks.push_back(1ull << i);
       entries.push_back(AccessPath(static_cast<int>(i)));
+      chosen[masks.back()] = entries.back();
     }
     while (entries.size() > 1) {
-      double best_cost = kInf;
+      Entry best;
       size_t bi = 0, bj = 0;
-      Entry best_entry;
       for (size_t i = 0; i < entries.size(); ++i) {
+        uint64_t adjacent = Neighbours(masks[i]);
         for (size_t j = 0; j < entries.size(); ++j) {
-          if (i == j) continue;
-          if (EdgesBetween(masks[i], masks[j]).empty()) continue;
-          int single = std::popcount(masks[j]) == 1
-                           ? std::countr_zero(masks[j])
-                           : -1;
-          Entry cand =
-              Combine(entries[i], masks[i], entries[j], masks[j], single);
-          if (cand.valid() && cand.cost < best_cost) {
-            best_cost = cand.cost;
-            best_entry = cand;
+          if (i == j || (adjacent & masks[j]) == 0) continue;
+          bool outer = OuterBetween(masks[i], masks[j]);
+          double before = best.cost;
+          Combine(entries[i], masks[i], entries[j], masks[j], outer,
+                  Card(masks[i] | masks[j]), &best);
+          if (best.cost < before) {
             bi = i;
             bj = j;
           }
         }
       }
-      if (!best_entry.valid()) return Entry{};  // disconnected
+      if (!best.valid()) return nullptr;  // disconnected
       uint64_t merged = masks[bi] | masks[bj];
       size_t lo = std::min(bi, bj), hi = std::max(bi, bj);
       masks.erase(masks.begin() + hi);
       entries.erase(entries.begin() + hi);
       masks[lo] = merged;
-      entries[lo] = best_entry;
+      entries[lo] = best;
+      chosen[merged] = best;
     }
-    return entries[0];
+    return Build(masks[0],
+                 [&](uint64_t m) -> const Entry& { return chosen[m]; });
+  }
+
+  // ---- plan construction ----
+
+  // The edges joining the disjoint subsets `a` and `b`, in block order.
+  std::vector<int> EdgesBetween(uint64_t a, uint64_t b) const {
+    std::vector<int> between;
+    for (size_t k = 0; k < edges_.size(); ++k) {
+      const EdgeStats& e = edges_[k];
+      if (((e.left_mask & a) && (e.right_mask & b)) ||
+          ((e.left_mask & b) && (e.right_mask & a))) {
+        between.push_back(static_cast<int>(k));
+      }
+    }
+    return between;
+  }
+
+  std::vector<FilterPred> FiltersOn(int rel) const {
+    std::vector<FilterPred> filters;
+    for (const auto& f : block_.filters) {
+      if (f.rel == rel) filters.push_back(f);
+    }
+    return filters;
+  }
+
+  // Builds the operator tree of the subset `mask` from the entries join
+  // ordering chose; `entry_of` maps a planned subset to its entry.
+  template <typename EntryOf>
+  PhysicalPlanPtr Build(uint64_t mask, const EntryOf& entry_of) {
+    const Entry& e = entry_of(mask);
+    LEGODB_CHECK(e.valid(), "building an unplanned subset");
+    auto plan = std::make_shared<PhysicalPlan>();
+    plan->est_rows = e.rows;
+    plan->est_cost = e.cost;
+    plan->est_seeks = e.seeks;
+    plan->est_bytes = e.bytes;
+    plan->vectorized = true;
+    switch (e.method) {
+      case Method::kNone:  // rejected above
+        break;
+      case Method::kSeqScan:
+      case Method::kIndexLookup:
+        plan->rel = std::countr_zero(mask);
+        plan->filters = FiltersOn(plan->rel);  // residuals re-checked cheaply
+        if (e.method == Method::kSeqScan) {
+          plan->kind = PhysicalPlan::Kind::kSeqScan;
+        } else {
+          plan->kind = PhysicalPlan::Kind::kIndexLookup;
+          plan->index_column = block_.filters[e.arg].column;
+        }
+        break;
+      case Method::kHashJoin: {
+        // The first edge between the sides drives the probe; the rest are
+        // residual.
+        uint64_t probe = e.left;
+        uint64_t build = mask ^ probe;
+        plan->kind = PhysicalPlan::Kind::kHashJoin;
+        plan->left_outer = OuterBetween(probe, build);
+        std::vector<int> edges = EdgesBetween(probe, build);
+        const JoinEdge& drive = block_.joins[edges[0]];
+        bool left_in_probe = (edges_[edges[0]].left_mask & probe) != 0;
+        plan->left_join_rel = left_in_probe ? drive.left_rel : drive.right_rel;
+        plan->left_join_column =
+            left_in_probe ? drive.left_column : drive.right_column;
+        plan->right_join_rel = left_in_probe ? drive.right_rel : drive.left_rel;
+        plan->right_join_column =
+            left_in_probe ? drive.right_column : drive.left_column;
+        for (size_t k = 1; k < edges.size(); ++k) {
+          plan->residual_joins.push_back(block_.joins[edges[k]]);
+        }
+        plan->left = Build(probe, entry_of);
+        plan->right = Build(build, entry_of);
+        break;
+      }
+      case Method::kIndexNLJoin: {
+        int inner = std::countr_zero(mask ^ e.left);
+        const JoinEdge& drive = block_.joins[e.arg];
+        bool inner_is_right = drive.right_rel == inner;
+        plan->kind = PhysicalPlan::Kind::kIndexNLJoin;
+        plan->rel = inner;
+        plan->index_column =
+            inner_is_right ? drive.right_column : drive.left_column;
+        plan->filters = FiltersOn(inner);
+        plan->left_join_rel = inner_is_right ? drive.left_rel : drive.right_rel;
+        plan->left_join_column =
+            inner_is_right ? drive.left_column : drive.right_column;
+        plan->right_join_rel = inner;
+        plan->right_join_column = plan->index_column;
+        plan->left_outer = drive.left_outer;
+        for (int k : EdgesBetween(e.left, mask ^ e.left)) {
+          if (k != e.arg) plan->residual_joins.push_back(block_.joins[k]);
+        }
+        plan->left = Build(e.left, entry_of);
+        break;
+      }
+    }
+    return plan;
   }
 
   const rel::Catalog& catalog_;
   const CostParams& p_;
   const QueryBlock& block_;
-  std::vector<const rel::Table*> tables_;
-  std::map<uint64_t, double> card_memo_;
+  std::vector<RelStats> rels_;    // per relation
+  std::vector<EdgeStats> edges_;  // per join edge
 };
 
 }  // namespace

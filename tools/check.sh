@@ -169,21 +169,27 @@ if [[ "${1:-}" == "--disk" ]]; then
 fi
 
 # --bench-json: the bench-trajectory pipeline at smoke scale. Runs
-# micro_engine (executor-equality gate + one quick benchmark) and
-# calibration with their obs reports enabled, merges them with bench_report
+# micro_engine (executor-equality gate + one quick benchmark), the
+# micro_optimizer planning benchmarks and calibration with their obs
+# reports enabled, merges them with bench_report
 # into build/BENCH_results.json, and double-checks the merged file parses
 # as an obs report (merge already validates; the compare call proves the
 # file is consumable downstream). Any invalid JSON fails the script.
 if [[ "${1:-}" == "--bench-json" ]]; then
   shift
   cmake -B build -S . "$@"
-  cmake --build build -j"$(nproc)" --target micro_engine calibration bench_report
+  cmake --build build -j"$(nproc)" --target micro_engine micro_optimizer \
+    calibration bench_report
   ./build/bench/micro_engine --benchmark_filter=BM_XmlParse \
     --benchmark_min_time=0.05 --obs-out=build/BENCH_micro_engine.json \
     > /dev/null
+  ./build/bench/micro_optimizer --benchmark_filter=BM_Plan \
+    --benchmark_min_time=0.05 --obs-out=build/BENCH_micro_optimizer.json \
+    > /dev/null
   ./build/bench/calibration --reps=2 build/BENCH_calibration.json > /dev/null
   ./build/tools/bench_report merge build/BENCH_results.json \
-    build/BENCH_micro_engine.json build/BENCH_calibration.json
+    build/BENCH_micro_engine.json build/BENCH_micro_optimizer.json \
+    build/BENCH_calibration.json
   ./build/tools/bench_report compare build/BENCH_results.json \
     build/BENCH_results.json > /dev/null
   echo "bench trajectory written to build/BENCH_results.json"
